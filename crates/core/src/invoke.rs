@@ -69,22 +69,6 @@ impl ScriptedInvoker {
     }
 }
 
-/// An invoker that refuses every call. Useful where an enforcement pass
-/// is expected to succeed without invoking anything — e.g. a receiver
-/// verifying that a shipped document needs no further materialization —
-/// so that any attempted call surfaces as a hard error.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RefusingInvoker;
-
-impl Invoker for RefusingInvoker {
-    fn invoke(&mut self, function: &str, _params: &[ITree]) -> Result<Vec<ITree>, InvokeError> {
-        Err(InvokeError {
-            function: function.to_owned(),
-            message: "invocation refused".to_owned(),
-        })
-    }
-}
-
 impl Invoker for ScriptedInvoker {
     fn invoke(&mut self, function: &str, params: &[ITree]) -> Result<Vec<ITree>, InvokeError> {
         self.log.push((function.to_owned(), params.to_vec()));

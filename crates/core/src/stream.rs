@@ -1,8 +1,8 @@
 //! Streaming bounded-memory schema enforcement.
 //!
-//! The DOM enforcement path ([`crate::rewrite::enforce_with`]) parses the
-//! whole document, decodes it into an [`ITree`], rewrites, and serializes —
-//! four full-document materializations. This module drives the same
+//! The DOM enforcement path ([`enforce_dom`]) parses the whole document,
+//! decodes it into an [`ITree`], rewrites, and serializes — four
+//! full-document materializations. This module drives the same
 //! three-stage rewrite incrementally off the pull parser
 //! ([`axml_xml::Reader`]) instead:
 //!
@@ -49,10 +49,8 @@
 //! recording is O(children of open elements) and is not included in that
 //! figure.
 
-use crate::invoke::Invoker;
-use crate::rewrite::{
-    enforce_possible_with, enforce_with, RewriteError, RewriteReport, Rewriter, Strategy,
-};
+use crate::invoke::{InvokeError, Invoker};
+use crate::rewrite::{RewriteError, RewriteReport, Rewriter, Strategy};
 use crate::solve_cache::{SolveCache, TargetSlot, DEFAULT_CAPACITY};
 use axml_automata::{Dfa, Regex, Symbol, NO_STATE};
 use axml_schema::{forest_from_nodes, validate, words_of, Compiled, CompiledContent, ITree, INT_NS};
@@ -70,9 +68,6 @@ pub struct StreamOptions {
     pub k: u32,
     /// Safe or possible rewriting.
     pub strategy: Strategy,
-    /// Worker threads for the DOM fallback's parallel subtree pass
-    /// (the streaming path itself is single-threaded).
-    pub workers: usize,
     /// Shared solver cache; `None` uses a private unpublished cache.
     pub cache: Option<SolveCache>,
 }
@@ -82,7 +77,6 @@ impl Default for StreamOptions {
         StreamOptions {
             k: 2,
             strategy: Strategy::Safe,
-            workers: 1,
             cache: None,
         }
     }
@@ -145,6 +139,12 @@ impl Inv<'_, '_> {
                 &mut **built.as_mut().expect("just built")
             }
         }
+    }
+}
+
+impl Invoker for Inv<'_, '_> {
+    fn invoke(&mut self, function: &str, params: &[ITree]) -> Result<Vec<ITree>, InvokeError> {
+        self.get().invoke(function, params)
     }
 }
 
@@ -657,28 +657,6 @@ fn publish(report: &StreamReport) {
         .set(report.peak_buffer_bytes as i64);
 }
 
-fn dom_with_cache<'i>(
-    compiled: &Compiled,
-    input: &str,
-    opts: &StreamOptions,
-    cache: &SolveCache,
-    make_invoker: &mut dyn FnMut() -> Box<dyn Invoker + Send + 'i>,
-) -> Result<(String, RewriteReport), RewriteError> {
-    let doc = parse_document(input).map_err(|e| RewriteError::Invalid(e.to_string()))?;
-    let tree = ITree::from_xml(&doc.root).map_err(RewriteError::Invalid)?;
-    let (out, rep) = match opts.strategy {
-        Strategy::Safe => enforce_with(compiled, &tree, opts.k, cache, opts.workers, make_invoker)?,
-        Strategy::Possible => {
-            let mut inv = make_invoker();
-            enforce_possible_with(compiled, &tree, opts.k, cache, &mut *inv)?
-        }
-    };
-    Ok((
-        element_to_string(&out.to_xml(), &WriteOptions::compact()),
-        rep,
-    ))
-}
-
 /// The DOM reference pipeline: parse → decode → enforce → serialize in the
 /// compact normal form. Streaming enforcement is byte-identical to this
 /// (and falls back to it on any anomaly); tests, benches, and CI gates
@@ -690,7 +668,14 @@ pub fn enforce_dom<'i>(
     make_invoker: &mut dyn FnMut() -> Box<dyn Invoker + Send + 'i>,
 ) -> Result<(String, RewriteReport), RewriteError> {
     let cache = resolve_cache(opts);
-    dom_with_cache(compiled, input, opts, &cache, make_invoker)
+    let mut inv = Inv::Lazy {
+        make: make_invoker,
+        built: None,
+    };
+    Rewriter::new(compiled)
+        .with_k(opts.k)
+        .with_cache(&cache)
+        .dom_fallback(input, opts.strategy, &mut inv)
 }
 
 /// Enforces the schema over the XML text of an intensional document in a
@@ -723,8 +708,7 @@ pub fn enforce_stream<'i>(
 }
 
 /// Like [`enforce_stream`], but materializing calls through a borrowed
-/// [`Invoker`] instead of a factory. The DOM fallback is single-threaded
-/// here (the factory form is what allows parallel subtree workers).
+/// [`Invoker`] instead of a factory.
 pub fn enforce_stream_with(
     compiled: &Compiled,
     input: &str,
@@ -789,13 +773,15 @@ fn enforce_stream_buffered(
             report.bytes_copied = 0;
             report.bytes_rewritten = 0;
             report.bytes_out = 0;
-            let dom = match inv {
-                Inv::Lazy { make, .. } => dom_with_cache(compiled, input, opts, cache, *make),
-                Inv::Ready(i) => Rewriter::new(compiled)
-                    .with_k(opts.k)
-                    .with_cache(cache)
-                    .dom_fallback(input, opts.strategy, &mut **i),
-            };
+            // A factory-built invoker is rebuilt for the DOM re-run, so
+            // a stateful service sees the fallback as a fresh session.
+            if let Inv::Lazy { built, .. } = inv {
+                *built = None;
+            }
+            let dom = Rewriter::new(compiled)
+                .with_k(opts.k)
+                .with_cache(cache)
+                .dom_fallback(input, opts.strategy, inv);
             match dom {
                 Ok((out, rep)) => {
                     report.bytes_out = out.len() as u64;
@@ -883,7 +869,8 @@ impl<'c> Rewriter<'c> {
     }
 
     /// The DOM pipeline with this rewriter's configuration (`k`, cache,
-    /// call budget), used when [`Rewriter::rewrite_stream`] falls back.
+    /// call budget): what [`enforce_dom`] runs, and what every streaming
+    /// entry point falls back to.
     fn dom_fallback(
         &mut self,
         input: &str,

@@ -20,10 +20,10 @@
 //! [`soap_fault`] give the 1:1 mapping between [`soap::Fault`] envelopes
 //! and `axml-net` fault frames.
 
-use crate::peer::{EnforceMode, Peer, PeerError};
-use axml_core::invoke::{InvokeError, Invoker, RefusingInvoker};
+use crate::peer::{Peer, PeerError};
+use axml_core::invoke::{InvokeError, Invoker};
 use axml_core::rewrite::RewriteReport;
-use axml_core::stream::{enforce_stream_to, enforce_stream_with, StreamOptions, StreamReport};
+use axml_core::stream::{enforce_stream_to, StreamOptions, StreamReport};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
 use axml_net::{
     ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig, ServerStats, Transport,
@@ -181,7 +181,7 @@ pub fn envelope_handler(peer: Arc<Peer>) -> Arc<dyn Handler> {
 
 /// The served peer as an `axml-net` [`Handler`]: SOAP envelopes through
 /// [`handle_net_envelope`], chunk-shipped documents through
-/// [`receive_document_text`].
+/// [`handle_net_document`]; both end in [`receive_document`].
 struct PeerHandler {
     peer: Arc<Peer>,
 }
@@ -221,7 +221,8 @@ fn handle_net_envelope_inner(
     match message {
         soap::Message::Request { method, params } if method == RECEIVE_METHOD => {
             sp.set("method", RECEIVE_METHOD);
-            receive_document(peer, &params)
+            receive_params(params)
+                .and_then(|(name, doc)| receive_document(peer, &name, doc))
                 .map(|name| soap::response(&[ITree::text(&name)]).to_xml())
                 .map_err(|e| wire_fault(&e.to_fault()))
         }
@@ -247,7 +248,8 @@ fn handle_net_document(peer: &Peer, rid: u64, name: &str, text: &str) -> Result<
     sp.set("peer", &peer.name);
     sp.set("method", RECEIVE_METHOD);
     sp.set("doc", name);
-    let result = receive_document_text(peer, name, text)
+    let result = parse_text(text)
+        .and_then(|doc| receive_document(peer, name, doc))
         .map(|stored| soap::response(&[ITree::text(&stored)]).to_xml())
         .map_err(|e| wire_fault(&e.to_fault()));
     if let Err(fault) = &result {
@@ -256,87 +258,47 @@ fn handle_net_document(peer: &Peer, rid: u64, name: &str, text: &str) -> Result<
     result
 }
 
-/// Receiver side of a *chunked* Fig. 1 exchange: the document arrives as
-/// raw XML text (chunked transfers carry no SOAP envelope — the name
-/// rides in the `DocChunkStart` frame). Verification happens on the text
-/// itself: in streaming mode the streaming enforcer with a refusing
-/// invoker runs *before* any tree is built, so enforcement memory stays
-/// at the stream engine's `peak_buffer_bytes` even for documents far
-/// larger than the frame cap; the parse into the repository's [`ITree`]
-/// form afterwards is the storage cost, not an enforcement cost.
-pub fn receive_document_text(peer: &Peer, name: &str, text: &str) -> Result<String, PeerError> {
-    if name.trim().is_empty() {
-        return Err(PeerError::Enforcement(format!(
-            "{RECEIVE_METHOD}: document name must be non-empty"
-        )));
-    }
-    if peer.enforce.mode == EnforceMode::Streaming {
-        let opts = StreamOptions {
-            k: peer.enforce.k,
-            cache: Some(peer.enforce.cache.clone()),
-            ..StreamOptions::default()
-        };
-        enforce_stream_with(&peer.compiled, text, &opts, &mut RefusingInvoker)
-            .map_err(|e| PeerError::Enforcement(e.to_string()))?;
-    }
-    let doc = axml_xml::parse_document(text)
+/// Parses a chunk-shipped document (chunked transfers carry raw XML
+/// text, no SOAP envelope) into the repository's [`ITree`] form.
+fn parse_text(text: &str) -> Result<ITree, PeerError> {
+    axml_xml::parse_document(text)
         .map_err(|e| PeerError::Enforcement(format!("chunked document: {e}")))
-        .and_then(|d| ITree::from_xml(&d.root).map_err(PeerError::Enforcement))?;
-    if peer.enforce.mode != EnforceMode::Streaming {
-        validate(&doc, &peer.compiled).map_err(|e| PeerError::Enforcement(e.to_string()))?;
-    }
-    peer.inbound.check(std::slice::from_ref(&doc))?;
-    peer.repository.store(name, doc);
-    axml_obs::global().counter("peer.received_total").inc();
-    Ok(name.to_owned())
+        .and_then(|d| ITree::from_xml(&d.root).map_err(PeerError::Enforcement))
 }
 
-/// Receiver side of the Fig. 1 exchange: verify the shipped document
-/// against this peer's schema and inbound policy, then store it.
-fn receive_document(peer: &Peer, params: &[ITree]) -> Result<String, PeerError> {
-    let [name, doc] = params else {
-        return Err(PeerError::Enforcement(format!(
+/// Unpacks the `(name, document)` parameters of a [`RECEIVE_METHOD`]
+/// request, moving the decoded document tree out without a copy.
+fn receive_params(params: Vec<ITree>) -> Result<(String, ITree), PeerError> {
+    let [name, doc] = <[ITree; 2]>::try_from(params).map_err(|p| {
+        PeerError::Enforcement(format!(
             "{RECEIVE_METHOD} expects (name, document), got {} parameters",
-            params.len()
-        )));
-    };
+            p.len()
+        ))
+    })?;
     let ITree::Text(name) = name else {
         return Err(PeerError::Enforcement(format!(
             "{RECEIVE_METHOD}: document name must be text"
         )));
     };
+    Ok((name, doc))
+}
+
+/// Receiver side of the Fig. 1 exchange, for single-frame and chunked
+/// shipping alike: verify the document against this peer's schema and
+/// inbound policy, then store it. Rewriting is the *sender's* burden
+/// under the agreed exchange schema, so the receiver only checks that
+/// what arrives is already an instance of its own schema.
+fn receive_document(peer: &Peer, name: &str, doc: ITree) -> Result<String, PeerError> {
     if name.trim().is_empty() {
         return Err(PeerError::Enforcement(format!(
             "{RECEIVE_METHOD}: document name must be non-empty"
         )));
     }
-    // Receiver-side Schema Enforcement (verify step): the document must
-    // already be an instance of the receiver's schema — rewriting is the
-    // *sender's* burden under the agreed exchange schema. In streaming
-    // mode the verify is the streaming enforcer with a refusing invoker:
-    // a rewrite with zero invocations is the identity, so it succeeds
-    // exactly on valid documents, while keeping the daemon's memory
-    // bounded and its `enforce.stream.*` metrics live.
-    match (peer.enforce.mode, doc) {
-        (EnforceMode::Streaming, ITree::Elem { .. }) => {
-            let text = axml_xml::element_to_string(
-                &doc.to_xml(),
-                &axml_xml::WriteOptions::compact(),
-            );
-            let opts = StreamOptions {
-                k: peer.enforce.k,
-                cache: Some(peer.enforce.cache.clone()),
-                ..StreamOptions::default()
-            };
-            enforce_stream_with(&peer.compiled, &text, &opts, &mut RefusingInvoker)
-                .map_err(|e| PeerError::Enforcement(e.to_string()))?;
-        }
-        _ => validate(doc, &peer.compiled).map_err(|e| PeerError::Enforcement(e.to_string()))?,
-    }
-    peer.inbound.check(std::slice::from_ref(doc))?;
-    peer.repository.store(name, doc.clone());
+    validate(&doc, &peer.compiled).map_err(|e| PeerError::Enforcement(e.to_string()))?;
+    peer.inbound.check(std::slice::from_ref(&doc))?;
+    peer.repository.store(name, doc);
     axml_obs::global().counter("peer.received_total").inc();
-    Ok(name.clone())
+    Ok(name.to_owned())
 }
 
 /// A client handle to a remote peer daemon.
@@ -459,39 +421,6 @@ impl RemotePeer {
             ex.fail(e);
         }
         result
-    }
-
-    /// Sender-side whole-document enforcement, honoring the caller's
-    /// [`EnforceMode`]: element documents stream through
-    /// [`enforce_stream_with`] (warming the caller's solver cache and its
-    /// `enforce.stream.*` metrics), everything else — and
-    /// [`EnforceMode::Dom`] — takes the DOM pipeline. Both produce the
-    /// same document.
-    fn enforce_outbound(
-        caller: &Peer,
-        exchange: &Compiled,
-        doc: &ITree,
-        invoker: &mut dyn Invoker,
-    ) -> Result<(ITree, RewriteReport), PeerError> {
-        if caller.enforce.mode == EnforceMode::Streaming && matches!(doc, ITree::Elem { .. }) {
-            let text = axml_xml::element_to_string(
-                &doc.to_xml(),
-                &axml_xml::WriteOptions::compact(),
-            );
-            let opts = StreamOptions {
-                k: caller.enforce.k,
-                cache: Some(caller.enforce.cache.clone()),
-                ..StreamOptions::default()
-            };
-            let (out, rep) = enforce_stream_with(exchange, &text, &opts, invoker)
-                .map_err(PeerError::from)?;
-            let sent = axml_xml::parse_document(&out)
-                .map_err(|e| PeerError::Enforcement(format!("re-parsing enforced output: {e}")))
-                .and_then(|d| ITree::from_xml(&d.root).map_err(PeerError::Enforcement))?;
-            return Ok((sent, rep.rewrite));
-        }
-        axml_core::rewrite::enforce(exchange, doc, caller.enforce.k, invoker)
-            .map_err(PeerError::from)
     }
 
     /// Ships a document as a *chunked* wire transfer — the path for
@@ -630,7 +559,7 @@ impl RemotePeer {
         let (sent, report) = {
             let mut sp = axml_obs::span("enforce");
             sp.set("rid", rid);
-            match Self::enforce_outbound(caller, exchange, doc, invoker) {
+            match caller.enforce_document(exchange, doc, invoker) {
                 Ok(v) => v,
                 Err(e) => {
                     sp.fail(&e);
@@ -767,19 +696,17 @@ mod tests {
             "exhibit",
             vec![ITree::data("title", "Rodin"), ITree::data("date", "Tue")],
         );
-        let name = receive_document(
-            &peer,
-            &[ITree::text("inbox-exhibit"), doc.clone()],
-        )
-        .unwrap();
+        let name = receive_document(&peer, "inbox-exhibit", doc.clone()).unwrap();
         assert_eq!(name, "inbox-exhibit");
         assert_eq!(peer.repository.load("inbox-exhibit").unwrap(), doc);
         // A document outside the receiver's schema is refused.
         let bad = ITree::elem("exhibit", vec![ITree::data("title", "No date")]);
-        let err = receive_document(&peer, &[ITree::text("bad"), bad]).unwrap_err();
+        let err = receive_document(&peer, "bad", bad).unwrap_err();
         assert!(matches!(err, PeerError::Enforcement(_)), "{err}");
+        assert!(peer.repository.load("bad").is_err());
         // Malformed parameter lists are refused, not panicked on.
-        assert!(receive_document(&peer, &[]).is_err());
-        assert!(receive_document(&peer, &[ITree::text(" "), ITree::text("x")]).is_err());
+        assert!(receive_params(vec![]).is_err());
+        assert!(receive_params(vec![ITree::data("title", "x"), ITree::text("x")]).is_err());
+        assert!(receive_document(&peer, " ", ITree::text("x")).is_err());
     }
 }

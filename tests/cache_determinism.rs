@@ -1,15 +1,11 @@
-//! Determinism of the cross-request solver cache and the parallel
-//! enforcement path (DESIGN.md §9):
-//!
-//! * a warm run (every game answered from the [`SolveCache`]) produces
-//!   byte-identical XML and an identical [`RewriteReport`] to the cold
-//!   run that populated the cache;
-//! * parallel subtree enforcement is byte-identical to sequential
-//!   execution, for any worker count, warm or cold.
+//! Determinism of the cross-request solver cache (DESIGN.md §9): a warm
+//! run (every game answered from the [`SolveCache`]) produces
+//! byte-identical XML and an identical [`RewriteReport`] to the cold run
+//! that populated the cache.
 //!
 //! Services are modeled by a *pure* invoker — the answer depends only on
-//! `(function, params)`, never on call order or thread — so any output
-//! divergence can only come from the cache or the parallel merge.
+//! `(function, params)`, never on call order — so any output divergence
+//! can only come from the cache.
 
 use axml::core::invoke::{InvokeError, Invoker};
 use axml::core::rewrite::{RewriteReport, Rewriter};
@@ -26,7 +22,7 @@ use axml::core::rewrite::RewriteError;
 
 /// Answers every call with a random output instance of the function's
 /// declared type, drawn from an RNG seeded by `(salt, function, params)`
-/// alone: the same call always gets the same answer, on any thread.
+/// alone: the same call always gets the same answer.
 struct PureInvoker<'c> {
     compiled: &'c Compiled,
     salt: u64,
@@ -44,10 +40,6 @@ impl Invoker for PureInvoker<'_> {
             },
         )
     }
-}
-
-fn boxed<'c>(compiled: &'c Compiled, salt: u64) -> Box<dyn Invoker + Send + 'c> {
-    Box::new(PureInvoker { compiled, salt })
 }
 
 fn exchange_compiled() -> Compiled {
@@ -75,37 +67,13 @@ fn exhibit(title: &str, intensional: bool) -> ITree {
     ITree::elem("exhibit", vec![ITree::data("title", title), date])
 }
 
-/// A pure invoker whose *failures* are pure too: a call crashes iff a
-/// hash of `(crash_salt, function, params)` says so — a property of what
-/// is being called, never of call order, thread, or how many calls came
-/// before. Sequential and parallel enforcement therefore face the same
-/// failure set, and must report it the same way.
-struct CrashingInvoker<'c> {
-    inner: PureInvoker<'c>,
-    crash_salt: u64,
-}
-
-impl Invoker for CrashingInvoker<'_> {
-    fn invoke(&mut self, function: &str, params: &[ITree]) -> Result<Vec<ITree>, InvokeError> {
-        let die = fx_hash_one(&(self.crash_salt, function, format!("{params:?}"))) % 3 == 0;
-        if die {
-            return Err(InvokeError {
-                function: function.to_owned(),
-                message: "service crashed (injected)".to_owned(),
-            });
-        }
-        self.inner.invoke(function, params)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Cold, warm, and parallel (warm *and* cold caches, several worker
-    /// counts) runs of the same document agree byte for byte, and their
-    /// reports are identical.
+    /// Cold and warm runs of the same document agree byte for byte, and
+    /// their reports are identical.
     #[test]
-    fn warm_and_parallel_runs_are_byte_identical(
+    fn warm_runs_are_byte_identical(
         exhibits in prop::collection::vec(("[a-z]{1,5}", 0u32..2), 0..6),
         salt in 0u64..1_000,
     ) {
@@ -115,7 +83,7 @@ proptest! {
             exhibits.iter().map(|(t, f)| exhibit(t, *f == 1)).collect(),
         );
         let cache = SolveCache::unpublished(128);
-        let run_sequential = |cache: &SolveCache| -> (ITree, RewriteReport) {
+        let run = |cache: &SolveCache| -> (ITree, RewriteReport) {
             let mut inv = PureInvoker { compiled: &c, salt };
             Rewriter::new(&c)
                 .with_k(1)
@@ -123,98 +91,16 @@ proptest! {
                 .rewrite_safe(&doc, &mut inv)
                 .unwrap()
         };
-        let (cold, cold_rep) = run_sequential(&cache);
+        let (cold, cold_rep) = run(&cache);
         validate(&cold, &c).unwrap();
         let cold_xml = cold.to_xml().to_xml();
 
-        // Warm sequential: every game/DFA now comes from the cache.
+        // Warm: every game/DFA now comes from the cache.
         let misses_after_cold = cache.stats().misses;
-        let (warm, warm_rep) = run_sequential(&cache);
-        prop_assert_eq!(warm.to_xml().to_xml(), cold_xml.clone(), "warm != cold");
+        let (warm, warm_rep) = run(&cache);
+        prop_assert_eq!(warm.to_xml().to_xml(), cold_xml, "warm != cold");
         prop_assert_eq!(&warm_rep, &cold_rep);
         prop_assert_eq!(cache.stats().misses, misses_after_cold,
             "a warm run must not rebuild anything");
-
-        // Parallel: warm shared cache and a cold private one, several
-        // worker counts — all byte-identical to the sequential run.
-        for (workers, cache) in [
-            (2, cache.clone()),
-            (3, SolveCache::unpublished(128)),
-            (8, SolveCache::unpublished(4)),
-        ] {
-            let mut mk = || boxed(&c, salt);
-            let (par, par_rep) = Rewriter::new(&c)
-                .with_k(1)
-                .with_cache(&cache)
-                .rewrite_safe_parallel(&doc, &mut mk, workers)
-                .unwrap();
-            prop_assert_eq!(par.to_xml().to_xml(), cold_xml.clone(),
-                "parallel != sequential at workers={}", workers);
-            prop_assert_eq!(&par_rep, &cold_rep);
-        }
-    }
-
-    /// A crashing service crashes *identically* under sequential and
-    /// parallel enforcement: either both deliver the same bytes, or both
-    /// fail with the same typed error. Crashes keyed on call count or
-    /// thread identity would make retries and parallelism observable —
-    /// keyed on `(function, params)` they are not.
-    #[test]
-    fn crashing_invoker_fails_identically_parallel_and_sequential(
-        exhibits in prop::collection::vec(("[a-z]{1,5}", 0u32..2), 1..6),
-        salt in 0u64..1_000,
-        crash_salt in 0u64..1_000,
-    ) {
-        let c = exchange_compiled();
-        let doc = ITree::elem(
-            "r",
-            exhibits.iter().map(|(t, f)| exhibit(t, *f == 1)).collect(),
-        );
-        let sequential = {
-            let mut inv = CrashingInvoker {
-                inner: PureInvoker { compiled: &c, salt },
-                crash_salt,
-            };
-            Rewriter::new(&c).with_k(1).rewrite_safe(&doc, &mut inv)
-        };
-        for workers in [1usize, 2, 8] {
-            let mut mk = || -> Box<dyn Invoker + Send + '_> {
-                Box::new(CrashingInvoker {
-                    inner: PureInvoker { compiled: &c, salt },
-                    crash_salt,
-                })
-            };
-            let parallel = Rewriter::new(&c)
-                .with_k(1)
-                .rewrite_safe_parallel(&doc, &mut mk, workers);
-            match (&sequential, &parallel) {
-                (Ok((s, s_rep)), Ok((p, p_rep))) => {
-                    prop_assert_eq!(
-                        p.to_xml().to_xml(),
-                        s.to_xml().to_xml(),
-                        "delivered bytes diverged at workers={}",
-                        workers
-                    );
-                    prop_assert_eq!(p_rep, s_rep);
-                }
-                (Err(se), Err(pe)) => {
-                    prop_assert_eq!(
-                        format!("{pe:?}"),
-                        format!("{se:?}"),
-                        "typed error diverged at workers={}",
-                        workers
-                    );
-                }
-                (s, p) => {
-                    prop_assert!(
-                        false,
-                        "outcome diverged at workers={}: sequential ok={}, parallel ok={}",
-                        workers,
-                        s.is_ok(),
-                        p.is_ok()
-                    );
-                }
-            }
-        }
     }
 }

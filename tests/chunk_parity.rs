@@ -14,7 +14,8 @@
 //!   against an in-memory `enforce_stream` run of the same input;
 //! * a peer-level matrix case checking `send_document_chunked` stores
 //!   the identical document `send_document` (single Request frame)
-//!   stores, on both engines;
+//!   stores, on both engines, and that a document outside the
+//!   receiver's schema is refused identically either way;
 //! * an ignored spot run shipping a document ≥4× the frame cap through
 //!   both engines with sender- and receiver-side buffer accounting — the
 //!   bounded-memory witness behind the B15 bench.
@@ -26,7 +27,7 @@ use axml::core::rewrite::Strategy as RwStrategy;
 use axml::core::stream::{enforce_stream, enforce_stream_to, StreamOptions};
 use axml::net::wire::{self, WireFault};
 use axml::net::{ClientConfig, Handler, IoMode, NetClient, NetServer, ServerConfig};
-use axml::peer::{EnforceMode, Peer, Query, RemotePeer};
+use axml::peer::{Peer, PeerError, Query, RemotePeer};
 use axml::schema::{Compiled, ITree, NoOracle, Schema};
 use axml::services::{Registry, ServiceDef};
 use axml_support::prelude::*;
@@ -280,14 +281,11 @@ fn peer_ship_matrix_chunked_equals_single_frame() {
     );
     let strict = Arc::new(Compiled::new(exchange_vocab(), &NoOracle).unwrap());
     for io in IO_MODES {
-        let receiver_peer = Arc::new(
-            Peer::new(
-                "browser.example.org",
-                Arc::clone(&strict),
-                Arc::new(Registry::new()),
-            )
-            .with_enforce_mode(EnforceMode::Streaming),
-        );
+        let receiver_peer = Arc::new(Peer::new(
+            "browser.example.org",
+            Arc::clone(&strict),
+            Arc::new(Registry::new()),
+        ));
         let config = axml::net::ServerConfig {
             io,
             ..Default::default()
@@ -318,6 +316,80 @@ fn peer_ship_matrix_chunked_equals_single_frame() {
         let chunked = receiver_peer.repository.load("front-chunked").unwrap();
         assert_eq!(single, chunked, "{io:?}: stored documents diverge");
         assert_eq!(single, sent, "{io:?}: chunked store differs from the sent doc");
+        receiver.shutdown().unwrap();
+    }
+}
+
+/// A document the sender's exchange schema admits but the receiver's
+/// schema does not is refused with the same fault whether it ships as
+/// one Request frame or as chunks, and is stored neither way.
+#[test]
+fn schema_invalid_document_faults_identically_single_and_chunked() {
+    // The sender agreed to a looser exchange schema (an exhibit's date is
+    // optional) than the one the receiver enforces.
+    let loose = Arc::new(
+        Compiled::new(
+            Schema::builder()
+                .element("newspaper", "title.date.exhibit*")
+                .data_element("title")
+                .data_element("date")
+                .element("exhibit", "title.date?")
+                .build()
+                .unwrap(),
+            &NoOracle,
+        )
+        .unwrap(),
+    );
+    let front = ITree::elem(
+        "newspaper",
+        vec![
+            ITree::data("title", "The Sun"),
+            ITree::data("date", "04/10/2002"),
+            ITree::elem("exhibit", vec![ITree::data("title", "Monet")]),
+        ],
+    );
+    let strict = Arc::new(Compiled::new(exchange_vocab(), &NoOracle).unwrap());
+    for io in IO_MODES {
+        let receiver_peer = Arc::new(Peer::new(
+            "browser.example.org",
+            Arc::clone(&strict),
+            Arc::new(Registry::new()),
+        ));
+        let config = axml::net::ServerConfig {
+            io,
+            ..Default::default()
+        };
+        let receiver =
+            axml::peer::NetPeer::serve(Arc::clone(&receiver_peer), "127.0.0.1:0", config).unwrap();
+        let sender = Peer::new(
+            "newspaper.example.org",
+            Arc::clone(&loose),
+            Arc::new(Registry::new()),
+        );
+        let remote = RemotePeer::connect(receiver.local_addr(), Default::default()).unwrap();
+
+        let single = remote
+            .send_document(&sender, "front-single", &front, &loose)
+            .unwrap_err();
+        let chunked = remote
+            .send_document_chunked(&sender, "front-chunked", &front, &loose, 16)
+            .unwrap_err();
+        let (PeerError::Fault(single), PeerError::Fault(chunked)) = (&single, &chunked) else {
+            panic!("{io:?}: expected receiver faults, got {single:?} and {chunked:?}");
+        };
+        assert_eq!(single.code, chunked.code, "{io:?}: fault codes diverge");
+        assert_eq!(
+            single.message, chunked.message,
+            "{io:?}: fault messages diverge"
+        );
+        assert!(
+            single.message.contains("exhibit"),
+            "{io:?}: {}",
+            single.message
+        );
+        let stored = |name| receiver_peer.repository.load(name).is_ok();
+        assert!(!stored("front-single"), "{io:?}: refused document stored");
+        assert!(!stored("front-chunked"), "{io:?}: refused document stored");
         receiver.shutdown().unwrap();
     }
 }

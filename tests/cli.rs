@@ -1,16 +1,32 @@
 //! End-to-end tests of the `axml` command-line tool.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, Command};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_axml"))
 }
 
-fn fixture_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("axml-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A fixture directory of one test's own, removed when dropped: tests
+/// run in parallel, and a shared directory would let one test truncate a
+/// schema another is reading.
+struct FixtureDir(PathBuf);
+
+impl Drop for FixtureDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A spawned daemon that is killed when dropped, so a failing assertion
+/// cannot leave it running with the test runner's stdout open.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 const STAR_DSL: &str = r#"
@@ -55,8 +71,9 @@ function Get_Date : title -> date
 root newspaper
 "#;
 
-fn write_fixtures() -> (PathBuf, PathBuf, PathBuf, PathBuf) {
-    let dir = fixture_dir();
+fn write_fixtures(test: &str) -> (FixtureDir, PathBuf, PathBuf, PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("axml-cli-{}-{test}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let star = dir.join("star.schema");
     let star2 = dir.join("star2.schema");
     let star3 = dir.join("star3.schema");
@@ -69,12 +86,12 @@ fn write_fixtures() -> (PathBuf, PathBuf, PathBuf, PathBuf) {
         axml::schema::newspaper_example().to_xml().to_pretty_xml(),
     )
     .unwrap();
-    (star, star2, star3, doc)
+    (FixtureDir(dir), star, star2, star3, doc)
 }
 
 #[test]
 fn validate_accepts_and_rejects() {
-    let (star, star2, _star3, doc) = write_fixtures();
+    let (_dir, star, star2, _star3, doc) = write_fixtures("validate_accepts_and_rejects");
     let ok = bin()
         .args(["validate"])
         .arg(&star)
@@ -111,7 +128,7 @@ fn validate_accepts_and_rejects() {
 
 #[test]
 fn plan_reports_safety() {
-    let (_star, star2, star3, doc) = write_fixtures();
+    let (_dir, _star, star2, star3, doc) = write_fixtures("plan_reports_safety");
     let safe = bin()
         .args(["plan"])
         .arg(&star2)
@@ -146,7 +163,8 @@ fn plan_reports_safety() {
 
 #[test]
 fn rewrite_executes_against_simulated_services() {
-    let (_star, star2, _star3, doc) = write_fixtures();
+    let (_dir, _star, star2, _star3, doc) =
+        write_fixtures("rewrite_executes_against_simulated_services");
     let out = bin()
         .args(["rewrite"])
         .arg(&star2)
@@ -169,7 +187,7 @@ fn rewrite_executes_against_simulated_services() {
 
 #[test]
 fn compat_matches_the_paper() {
-    let (star, star2, star3, _doc) = write_fixtures();
+    let (_dir, star, star2, star3, _doc) = write_fixtures("compat_matches_the_paper");
     let ok = bin()
         .args(["compat"])
         .arg(&star)
@@ -195,10 +213,9 @@ fn compat_matches_the_paper() {
 fn serve_and_send_roundtrip() {
     use std::io::BufRead;
 
-    let (star, star2, _star3, doc) = write_fixtures();
+    let (dir, star, star2, _star3, doc) = write_fixtures("serve_and_send_roundtrip");
     // An extensional front page, valid against both (*) and (**).
-    let dir = fixture_dir();
-    let plain = dir.join("plain.xml");
+    let plain = dir.0.join("plain.xml");
     std::fs::write(
         &plain,
         "<newspaper><title>The Sun</title><date>04/10/2002</date><temp>15</temp></newspaper>",
@@ -206,14 +223,16 @@ fn serve_and_send_roundtrip() {
     .unwrap();
 
     // Daemon answering exactly two requests, then exiting gracefully.
-    let mut daemon = bin()
-        .args(["serve"])
-        .arg(&star)
-        .args(["127.0.0.1:0", "--requests", "2", "--name", "cli-peer"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut lines = std::io::BufReader::new(daemon.stdout.take().unwrap()).lines();
+    let mut daemon = Daemon(
+        bin()
+            .args(["serve"])
+            .arg(&star)
+            .args(["127.0.0.1:0", "--requests", "2", "--name", "cli-peer"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    let mut lines = std::io::BufReader::new(daemon.0.stdout.take().unwrap()).lines();
     let banner = lines.next().unwrap().unwrap();
     let addr = banner
         .strip_prefix("listening on ")
@@ -261,7 +280,7 @@ fn serve_and_send_roundtrip() {
         .unwrap();
     assert!(sent.status.success());
 
-    let status = daemon.wait().unwrap();
+    let status = daemon.0.wait().unwrap();
     assert!(status.success(), "daemon exit: {status:?}");
     let summary: Vec<String> = lines.map_while(Result::ok).collect();
     assert!(
@@ -281,4 +300,29 @@ fn bad_usage_and_missing_files() {
     assert_eq!(out.status.code(), Some(2));
     let out = bin().args(["frobnicate"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let (_dir, star, _star2, _star3, doc) = write_fixtures("unknown_flags_are_usage_errors");
+    // Retired and misspelt flags alike fail before any socket is touched.
+    for (cmd, flag) in [
+        ("serve", "--enforce"),
+        ("send", "--enforce"),
+        ("send", "--workers"),
+        ("serve", "--reqests"),
+    ] {
+        let mut command = bin();
+        command.arg(cmd).arg(&star).arg("127.0.0.1:9");
+        if cmd == "send" {
+            command.arg(&doc);
+        }
+        let out = command.args([flag, "2"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{cmd} {flag}: {stderr}"
+        );
+    }
 }

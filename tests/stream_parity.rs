@@ -2,8 +2,9 @@
 //!
 //! The streaming enforcer (`axml_core::stream`) promises byte-identical
 //! output and identical typed errors for every document × schema ×
-//! strategy combination — that is the contract that makes `--enforce
-//! streaming` a safe default. This suite drives the promise:
+//! strategy combination — that is the contract that lets streaming be the
+//! sender's only enforcement path, with the DOM pipeline as its internal
+//! fallback and test oracle. This suite drives the promise:
 //!
 //! * a property sweeping random intensional newspapers (0–4 embedded
 //!   calls, optional stray elements, pretty-printed or compact input)
@@ -14,12 +15,12 @@
 //!   error taxonomy surviving the fallback;
 //! * a transport-matrix case shipping a streamed-enforced document across
 //!   both network engines (blocking threads and the poll loop) and
-//!   checking the receiver stores the same document the DOM mode ships.
+//!   checking the receiver stores the document `enforce_dom` produces.
 
 use axml::core::invoke::{Invoker, ScriptedInvoker};
 use axml::core::rewrite::{RewriteError, Strategy as RwStrategy};
 use axml::core::stream::{enforce_dom, enforce_stream, StreamOptions};
-use axml::peer::{EnforceMode, NetInvoker, NetPeer, Peer, Query, RemotePeer};
+use axml::peer::{NetInvoker, NetPeer, Peer, Query, RemotePeer};
 use axml::schema::{Compiled, ITree, NoOracle, Schema};
 use axml::services::{Registry, ServiceDef};
 use axml_support::prelude::*;
@@ -293,28 +294,44 @@ fn strict_vocab() -> Schema {
         .unwrap()
 }
 
+/// What the provider's `Listings` service answers.
+fn listings() -> Vec<ITree> {
+    vec![
+        ITree::elem(
+            "exhibit",
+            vec![ITree::data("title", "Monet"), ITree::data("date", "Mon")],
+        ),
+        ITree::elem(
+            "exhibit",
+            vec![ITree::data("title", "Rodin"), ITree::data("date", "Tue")],
+        ),
+    ]
+}
+
+/// The intensional front page the matrix ships.
+fn front_page() -> ITree {
+    ITree::elem(
+        "newspaper",
+        vec![
+            ITree::data("title", "The Sun"),
+            ITree::data("date", "04/10/2002"),
+            ITree::func("Listings", vec![ITree::text("exhibits")]),
+        ],
+    )
+}
+
+fn compact(tree: &ITree) -> String {
+    axml::xml::element_to_string(&tree.to_xml(), &axml::xml::WriteOptions::compact())
+}
+
 fn provider_daemon(io: axml::net::IoMode) -> NetPeer {
     let peer = Arc::new(Peer::new(
         "listings.example.org",
         Arc::new(Compiled::new(exchange_vocab(), &NoOracle).unwrap()),
         Arc::new(Registry::new()),
     ));
-    peer.repository.store(
-        "program",
-        ITree::elem(
-            "listings",
-            vec![
-                ITree::elem(
-                    "exhibit",
-                    vec![ITree::data("title", "Monet"), ITree::data("date", "Mon")],
-                ),
-                ITree::elem(
-                    "exhibit",
-                    vec![ITree::data("title", "Rodin"), ITree::data("date", "Tue")],
-                ),
-            ],
-        ),
-    );
+    peer.repository
+        .store("program", ITree::elem("listings", listings()));
     peer.declare(
         ServiceDef::new("Listings", "data", "exhibit*"),
         Query::Children("program".to_owned()),
@@ -326,18 +343,15 @@ fn provider_daemon(io: axml::net::IoMode) -> NetPeer {
     NetPeer::serve(peer, "127.0.0.1:0", config).unwrap()
 }
 
-/// Ships the intensional front page under the strict exchange schema with
-/// the given enforcement mode and engine; returns the stored document.
-fn ship_outcome(io: axml::net::IoMode, mode: EnforceMode) -> ITree {
+/// Ships the intensional front page under the strict exchange schema
+/// over the given engine; returns the stored document.
+fn ship_outcome(io: axml::net::IoMode) -> ITree {
     let provider = provider_daemon(io);
-    let receiver_peer = Arc::new(
-        Peer::new(
-            "browser.example.org",
-            Arc::new(Compiled::new(strict_vocab(), &NoOracle).unwrap()),
-            Arc::new(Registry::new()),
-        )
-        .with_enforce_mode(mode),
-    );
+    let receiver_peer = Arc::new(Peer::new(
+        "browser.example.org",
+        Arc::new(Compiled::new(strict_vocab(), &NoOracle).unwrap()),
+        Arc::new(Registry::new()),
+    ));
     let config = axml::net::ServerConfig {
         io,
         ..Default::default()
@@ -348,16 +362,8 @@ fn ship_outcome(io: axml::net::IoMode, mode: EnforceMode) -> ITree {
         "newspaper.example.org",
         Arc::new(Compiled::new(exchange_vocab(), &NoOracle).unwrap()),
         Arc::new(Registry::new()),
-    )
-    .with_enforce_mode(mode);
-    let front = ITree::elem(
-        "newspaper",
-        vec![
-            ITree::data("title", "The Sun"),
-            ITree::data("date", "04/10/2002"),
-            ITree::func("Listings", vec![ITree::text("exhibits")]),
-        ],
     );
+    let front = front_page();
 
     let to_provider = RemotePeer::connect(provider.local_addr(), Default::default()).unwrap();
     let to_receiver = RemotePeer::connect(receiver.local_addr(), Default::default()).unwrap();
@@ -379,18 +385,28 @@ fn ship_outcome(io: axml::net::IoMode, mode: EnforceMode) -> ITree {
     stored
 }
 
-/// The Fig. 1 exchange with streaming enforcement on both ends, over both
-/// network engines: every combination stores the same document the DOM
-/// mode stores.
+/// The Fig. 1 exchange over both network engines: each stores exactly
+/// the bytes the DOM reference pipeline produces for the same front page.
 #[test]
 fn matrix_streamed_exchange_identical_across_engines_and_modes() {
     use axml::net::IoMode;
-    let baseline = ship_outcome(IoMode::Threads, EnforceMode::Dom);
+    let strict = Compiled::new(strict_vocab(), &NoOracle).unwrap();
+    let (reference, _) = enforce_dom(
+        &strict,
+        &compact(&front_page()),
+        &StreamOptions::default(),
+        &mut || {
+            Box::new(ScriptedInvoker::new().answer("Listings", listings()))
+                as Box<dyn Invoker + Send>
+        },
+    )
+    .unwrap();
     for io in [IoMode::Threads, IoMode::Poll] {
-        let streamed = ship_outcome(io, EnforceMode::Streaming);
+        let stored = ship_outcome(io);
         assert_eq!(
-            streamed, baseline,
-            "streamed exchange over {io:?} differs from the DOM baseline"
+            compact(&stored),
+            reference,
+            "exchange over {io:?} differs from the enforce_dom reference"
         );
     }
 }
