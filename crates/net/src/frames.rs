@@ -171,8 +171,8 @@ pub enum ChunkProgress {
 }
 
 /// Reassembles `DocChunkStart`/`DocChunk`/`DocChunkEnd` sequences into
-/// whole documents, shared verbatim by the blocking server, the poll
-/// engine, and the sim server so the typed-error taxonomy cannot drift.
+/// whole documents, shared verbatim by the connection core (so by both
+/// engines) and the sim server so the typed-error taxonomy cannot drift.
 ///
 /// Rules enforced (each violation is a connection-visible typed error):
 ///

@@ -11,7 +11,8 @@
 //!   shard wakes first wins the connection, the rest see `WouldBlock`.
 //! * **Connections** — a non-blocking `TcpStream`, a
 //!   [`FrameDecoder`](crate::frames::FrameDecoder) reassembling frames
-//!   across arbitrary partial reads, and a pending-write buffer. All
+//!   across arbitrary partial reads, and the protocol core
+//!   ([`Connection`]), whose out-buffer holds the pending writes. All
 //!   socket I/O for a connection happens on its shard thread; workers
 //!   never touch sockets.
 //! * **Workers** — the ordinary [`worker_loop`] from the threads engine,
@@ -23,31 +24,27 @@
 //!   yields the shard after its budget, and undrained sockets are simply
 //!   re-reported on the next `wait`. No connection can park the shard.
 //! * **Deadlines** — the poller wakes at least every ~`read_timeout`/4
-//!   (capped to 50 ms) and sweeps: a connection that never completed its
-//!   handshake within `read_timeout` is dropped silently (the blocking
-//!   reader's `Idle` semantics), one that stalls *mid-frame* gets the
-//!   `Timeout` fault and is closed (`Stalled` semantics), and one whose
-//!   pending writes make no progress for `write_timeout` is dropped.
+//!   (capped to 50 ms) and sweeps: a connection silent for longer than
+//!   `read_timeout` is handed to its core as `Stalled` (mid-frame) or
+//!   `Idle` (between frames) — exactly what the blocking reader's timed
+//!   out read reports — and one whose pending writes make no progress
+//!   for `write_timeout` is dropped.
 //!
-//! Fault taxonomy, reply bytes, and the
-//! `requests_total = responses_ok_total + faults_total` accounting
-//! identity are kept byte-for-byte identical to the threads engine —
-//! `tests/net_exchange.rs` runs every scenario over both engines and
-//! asserts exactly that. Two extra gauges are poll-specific:
-//! `server.poll.connections` and `server.poll.buffer_bytes` (the
-//! bounded-memory witness for the 10k-connection smoke test).
+//! Only the poll-specific gauges live here: `server.poll.connections`
+//! and `server.poll.buffer_bytes` (the bounded-memory witness for the
+//! 10k-connection smoke test).
 
-use crate::frames::{ChunkAssembler, ChunkProgress, FrameDecoder};
-use crate::server::{worker_loop, Job, ReplyTo, ServerError, Shared, Work};
-use crate::wire::{self, FaultCode, Frame, FrameType, WireError, WireFault};
+use crate::conn::{Connection, Protocol};
+use crate::frames::FrameDecoder;
+use crate::server::{admit, worker_loop, Job, ReplyTo, ServerError, Shared};
+use crate::wire::{Frame, WireError};
 use axml_support::poll::{Event, Interest, Poller, Waker};
-use axml_support::sync::channel::{bounded, TrySendError};
+use axml_support::sync::channel::{bounded, Sender};
 use axml_support::sync::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsFd;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,9 +60,6 @@ const MAX_READS_PER_EVENT: usize = 16;
 /// Shard-level read scratch. One per shard, not per connection — idle
 /// connections cost only their (shrunk) decoder and `Conn` bookkeeping.
 const SCRATCH_LEN: usize = 64 * 1024;
-
-/// Retained-capacity bound for a drained write buffer.
-const OUT_SHRINK: usize = 64 * 1024;
 
 /// A shard's cross-thread face: where workers post finished replies.
 pub(crate) struct ShardHandle {
@@ -88,18 +82,16 @@ pub(crate) struct PollEngine {
     shard_handles: Vec<Arc<ShardHandle>>,
     shards: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    job_txs: Vec<axml_support::sync::channel::Sender<Job>>,
+    job_txs: Vec<Sender<Job>>,
 }
 
 impl PollEngine {
-    /// Binds `addr`, spins up the shards and their workers.
-    pub(crate) fn bind(
-        addr: SocketAddr,
+    /// Spins up the shards and their workers on a bound, non-blocking
+    /// listener.
+    pub(crate) fn start(
+        listener: TcpListener,
         shared: &Arc<Shared>,
-    ) -> Result<(PollEngine, SocketAddr), ServerError> {
-        let listener = TcpListener::bind(addr).map_err(ServerError::Io)?;
-        listener.set_nonblocking(true).map_err(ServerError::Io)?;
-        let local = listener.local_addr().map_err(ServerError::Io)?;
+    ) -> Result<PollEngine, ServerError> {
         let listener = Arc::new(listener);
         let nshards = shared.config.shards.max(1);
         let total_workers = shared.config.workers.max(1);
@@ -144,7 +136,7 @@ impl PollEngine {
             engine.shards.push(shard_thread);
             engine.job_txs.push(job_tx);
         }
-        Ok((engine, local))
+        Ok(engine)
     }
 
     /// Deterministic shutdown: wake + join every shard (their sockets
@@ -166,20 +158,12 @@ impl PollEngine {
     }
 }
 
-/// One connection's state machine. All fields are owned by the shard
-/// thread; nothing here is shared.
+/// One connection's I/O state, owned by its shard thread.
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// Chunked-transfer reassembly state (one transfer in flight max).
-    assembler: ChunkAssembler,
-    /// Encoded frames awaiting the socket; `out_pos` is the flushed
-    /// prefix.
-    out: Vec<u8>,
-    out_pos: usize,
-    handshaken: bool,
-    /// Close once `out` is flushed (fault-then-close paths).
-    close_after_flush: bool,
+    /// The protocol state; its out-buffer holds the pending writes.
+    core: Connection,
     /// Whether the poller registration currently includes write interest.
     want_write: bool,
     /// Marked for removal; swept at the end of the loop iteration.
@@ -193,24 +177,30 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, max_frame: usize, max_doc: usize, now: Instant) -> Conn {
-        Conn {
-            stream,
-            decoder: FrameDecoder::new(max_frame),
-            assembler: ChunkAssembler::new(max_doc),
-            out: Vec::new(),
-            out_pos: 0,
-            handshaken: false,
-            close_after_flush: false,
-            want_write: false,
-            dead: false,
-            last_activity: now,
-            last_write_progress: now,
-        }
+    /// Bytes this connection pins: decoder, reassembly and out-buffer.
+    fn buffered_len(&self) -> usize {
+        self.decoder.buffered_len() + self.core.reassembly_len() + self.core.output().len()
     }
+}
 
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.out_pos
+/// Everything a shard hands its connections' cores.
+struct Ctx<'a> {
+    proto: &'a Protocol,
+    handle: &'a Arc<ShardHandle>,
+    job_tx: &'a Sender<Job>,
+}
+
+impl Ctx<'_> {
+    /// Feeds one input to connection `token`'s core, admitting work onto
+    /// this shard's queue.
+    fn feed(&self, conn: &mut Conn, token: u64, input: Result<Frame, WireError>) {
+        conn.core.on_input(self.proto, input, |id, work| {
+            let reply = ReplyTo::Shard {
+                shard: Arc::clone(self.handle),
+                conn: token,
+            };
+            admit(self.job_tx, Job { reply, id, work })
+        });
     }
 }
 
@@ -219,9 +209,15 @@ fn shard_loop(
     poller: &Poller,
     handle: &Arc<ShardHandle>,
     shared: &Arc<Shared>,
-    job_tx: &axml_support::sync::channel::Sender<Job>,
+    job_tx: &Sender<Job>,
 ) {
-    let metrics = &shared.metrics;
+    let proto = &shared.proto;
+    let metrics = &proto.metrics;
+    let ctx = Ctx {
+        proto,
+        handle,
+        job_tx,
+    };
     let read_timeout = shared.config.read_timeout;
     let write_timeout = shared.config.write_timeout;
     // The wait timeout doubles as the deadline-sweep tick: fine enough
@@ -241,11 +237,10 @@ fn shard_loop(
     let mut scratch = vec![0u8; SCRATCH_LEN];
     let mut next_token: u64 = 0;
     let mut reported_bytes: i64 = 0;
-    let mut reported_reassembly: i64 = 0;
 
-    while !shared.stop.load(Ordering::SeqCst) {
+    while !proto.stopping() {
         let _ = poller.wait(&mut events, Some(tick));
-        if shared.stop.load(Ordering::SeqCst) {
+        if proto.stopping() {
             break;
         }
         let now = Instant::now();
@@ -259,7 +254,7 @@ fn shard_loop(
                 continue;
             };
             if ev.readable && !conn.dead {
-                on_readable(conn, ev.token, shared, job_tx, handle, &mut scratch, now);
+                on_readable(conn, ev.token, &ctx, &mut scratch, now);
             }
             if !conn.dead {
                 try_flush(conn, now);
@@ -268,20 +263,12 @@ fn shard_loop(
                 update_interest(conn, ev.token, poller);
             }
         }
-        // Publish reassembly releases *before* any worker reply can
-        // flush: a sender observing its DocChunkEnd response must never
-        // see the gauge still holding the completed transfer. (The
-        // threads engine syncs per-frame ahead of dispatch; this is the
-        // readiness-loop equivalent of that ordering.)
-        let reassembly: i64 = conns.values().map(|c| c.assembler.buffered_len() as i64).sum();
-        metrics.chunk_reassembly.add(reassembly - reported_reassembly);
-        reported_reassembly = reassembly;
         // Worker replies: append to the owning connection's buffer.
         let pending = std::mem::take(&mut *handle.outbox.lock());
         for (token, frame) in pending {
             if let Some(conn) = conns.get_mut(&token) {
                 if !conn.dead {
-                    enqueue(conn, &frame);
+                    conn.core.push(&frame);
                     try_flush(conn, now);
                     if !conn.dead {
                         update_interest(conn, token, poller);
@@ -290,89 +277,54 @@ fn shard_loop(
             }
         }
         // Deadline sweep.
-        for (token, conn) in conns.iter_mut() {
+        for (&token, conn) in conns.iter_mut() {
             if conn.dead {
                 continue;
             }
-            if conn.pending_out() > 0
+            if !conn.core.output().is_empty()
                 && now.duration_since(conn.last_write_progress) > write_timeout
             {
                 // The peer stopped draining its socket; drop it.
                 conn.dead = true;
                 continue;
             }
-            if conn.close_after_flush {
-                continue; // already fated, just waiting on the flush
-            }
-            if !conn.handshaken {
-                if now.duration_since(conn.last_activity) > read_timeout {
-                    // Never sent its handshake: silent drop, exactly the
-                    // blocking reader's Idle path.
-                    conn.dead = true;
-                }
+            if conn.core.is_closed() || now.duration_since(conn.last_activity) <= read_timeout {
                 continue;
             }
-            if (conn.decoder.mid_frame() || conn.assembler.active())
-                && now.duration_since(conn.last_activity) > read_timeout
-            {
-                // Stalled mid-frame (the stream is no longer framed) or
-                // quiet inside an open chunk transfer: Timeout fault,
-                // then close — same taxonomy as the blocking reader.
-                shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.timeouts.inc();
-                let msg = if conn.decoder.mid_frame() {
-                    "read timed out mid-frame"
-                } else {
-                    "read timed out mid-chunk-transfer"
-                };
-                let f = WireFault::new(FaultCode::Timeout, msg);
-                enqueue(conn, &wire::fault(0, &f));
-                conn.close_after_flush = true;
+            let timeout = if conn.decoder.mid_frame() {
+                WireError::Stalled
+            } else {
+                WireError::Idle
+            };
+            ctx.feed(conn, token, Err(timeout));
+            if conn.core.is_closed() {
                 try_flush(conn, now);
                 if !conn.dead {
-                    update_interest(conn, *token, poller);
+                    update_interest(conn, token, poller);
                 }
             }
         }
-        // Sweep the dead and republish the bounded-memory gauges.
+        // Sweep the dead and republish the bounded-memory gauge.
         conns.retain(|_, conn| {
             if conn.dead {
                 let _ = poller.deregister(conn.stream.as_fd());
                 metrics.poll_connections.sub(1);
-                if conn.assembler.active() {
-                    // The connection died mid-transfer: account the
-                    // abandoned reassembly (threads-engine parity).
-                    metrics.chunk_aborts.inc();
-                }
-                false
-            } else {
-                true
+                conn.core.close(proto);
             }
+            !conn.dead
         });
-        let total: i64 = conns
-            .values()
-            .map(|c| {
-                (c.decoder.buffered_len() + c.assembler.buffered_len() + c.pending_out()) as i64
-            })
-            .sum();
+        let total: i64 = conns.values().map(|c| c.buffered_len() as i64).sum();
         metrics.poll_buffer_bytes.add(total - reported_bytes);
         reported_bytes = total;
-        let reassembly: i64 = conns.values().map(|c| c.assembler.buffered_len() as i64).sum();
-        metrics.chunk_reassembly.add(reassembly - reported_reassembly);
-        reported_reassembly = reassembly;
     }
 
     // Shutdown: connections die with the shard. Idle peers see a plain
-    // close (threads-engine parity: readers return silently on stop).
+    // close, as with the threads engine's readers.
     metrics.poll_buffer_bytes.add(-reported_bytes);
-    metrics.chunk_reassembly.add(-reported_reassembly);
-    for (_, conn) in conns.drain() {
+    for (_, mut conn) in conns.drain() {
         let _ = poller.deregister(conn.stream.as_fd());
         metrics.poll_connections.sub(1);
-        if conn.assembler.active() {
-            metrics.chunk_aborts.inc();
-        }
+        conn.core.close(proto);
     }
 }
 
@@ -390,8 +342,7 @@ fn accept_ready(
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     continue; // stream drops, connection resets
                 }
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.connections.inc();
+                shared.proto.accepted();
                 let token = *next_token;
                 *next_token += 1;
                 if poller
@@ -400,11 +351,17 @@ fn accept_ready(
                 {
                     continue;
                 }
-                shared.metrics.poll_connections.add(1);
-                conns.insert(
-                    token,
-                    Conn::new(stream, shared.config.max_frame, shared.config.max_doc, now),
-                );
+                shared.proto.metrics.poll_connections.add(1);
+                let conn = Conn {
+                    stream,
+                    decoder: FrameDecoder::new(shared.config.max_frame),
+                    core: Connection::new(&shared.proto),
+                    want_write: false,
+                    dead: false,
+                    last_activity: now,
+                    last_write_progress: now,
+                };
+                conns.insert(token, conn);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -413,49 +370,62 @@ fn accept_ready(
     }
 }
 
-fn on_readable(
-    conn: &mut Conn,
-    token: u64,
-    shared: &Arc<Shared>,
-    job_tx: &axml_support::sync::channel::Sender<Job>,
-    handle: &Arc<ShardHandle>,
-    scratch: &mut [u8],
-    now: Instant,
-) {
+fn on_readable(conn: &mut Conn, token: u64, ctx: &Ctx<'_>, scratch: &mut [u8], now: Instant) {
     for _ in 0..MAX_READS_PER_EVENT {
-        match conn.stream.read(scratch) {
-            Ok(0) => {
-                // EOF. Clean close between frames is silent (`Closed`
-                // parity); mid-frame it is the blocking reader's
-                // UnexpectedEof → BadFrame fault path. Either way the
-                // connection is done.
-                if conn.handshaken
-                    && conn.decoder.mid_frame()
-                    && !shared.stop.load(Ordering::SeqCst)
-                {
-                    shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.fault();
-                    let e = WireError::Io(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame".to_owned(),
-                    );
-                    let f = WireFault::new(FaultCode::BadFrame, e.to_string());
-                    enqueue(conn, &wire::fault(0, &f));
-                    try_flush(conn, now);
+        let end = match conn.stream.read(scratch) {
+            // End of stream: clean between frames, a truncation mid-frame
+            // — what the blocking reader reports for the same bytes.
+            Ok(0) if conn.decoder.mid_frame() => WireError::Io(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed mid-frame".to_owned(),
+            ),
+            Ok(0) => WireError::Closed,
+            Ok(n) => {
+                conn.last_activity = now;
+                if conn.core.is_closed() {
+                    continue; // fated: discard whatever still arrives
                 }
+                conn.decoder.feed(&scratch[..n]);
+                while !conn.core.is_closed() {
+                    let Some(input) = conn.decoder.poll_frame().transpose() else {
+                        break;
+                    };
+                    ctx.feed(conn, token, input);
+                }
+                if conn.core.is_closed() || n < scratch.len() {
+                    return; // fated, or socket drained
+                }
+                continue;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+            Err(e) => WireError::from(e),
+        };
+        // The read side is finished: let the core have its last word,
+        // push it out, and drop the connection.
+        ctx.feed(conn, token, Err(end));
+        try_flush(conn, now);
+        conn.dead = true;
+        return;
+    }
+    // Budget exhausted: leftover socket bytes re-report on the next
+    // wait (level-triggered), after the other connections get a turn.
+}
+
+fn try_flush(conn: &mut Conn, now: Instant) {
+    loop {
+        let out = conn.core.output();
+        if out.is_empty() {
+            break;
+        }
+        match conn.stream.write(out) {
+            Ok(0) => {
                 conn.dead = true;
                 return;
             }
             Ok(n) => {
-                conn.last_activity = now;
-                conn.decoder.feed(&scratch[..n]);
-                drain_frames(conn, shared, job_tx, handle, token);
-                if conn.dead || conn.close_after_flush {
-                    return;
-                }
-                if n < scratch.len() {
-                    return; // socket drained
-                }
+                conn.core.consume(n);
+                conn.last_write_progress = now;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -465,259 +435,8 @@ fn on_readable(
             }
         }
     }
-    // Budget exhausted: leftover socket bytes re-report on the next
-    // wait (level-triggered), after the other connections get a turn.
-}
-
-/// The post-read state machine — the poll engine's `serve_frames`. Every
-/// branch mirrors the threads engine's metric and fault sequence
-/// exactly; divergence here breaks the transport-matrix suite.
-fn drain_frames(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    job_tx: &axml_support::sync::channel::Sender<Job>,
-    handle: &Arc<ShardHandle>,
-    token: u64,
-) {
-    let metrics = &shared.metrics;
-    loop {
-        let frame = match conn.decoder.poll_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => return,
-            Err(e) => {
-                if !conn.handshaken {
-                    // The blocking reader drops pre-handshake protocol
-                    // errors silently.
-                    conn.dead = true;
-                    return;
-                }
-                match e {
-                    WireError::TooLarge { len, max } => {
-                        shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                        metrics.fault();
-                        metrics.too_large.inc();
-                        metrics.frame_bytes.observe(len as u64);
-                        let f = WireFault::new(
-                            FaultCode::TooLarge,
-                            format!("{len}-byte payload exceeds the {max}-byte cap"),
-                        );
-                        enqueue(conn, &wire::fault(0, &f));
-                    }
-                    other => {
-                        if !shared.stop.load(Ordering::SeqCst) {
-                            shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                            metrics.fault();
-                            let f = WireFault::new(FaultCode::BadFrame, other.to_string());
-                            enqueue(conn, &wire::fault(0, &f));
-                        }
-                    }
-                }
-                if conn.assembler.active() {
-                    // The decoder error is sticky and the connection is
-                    // fated: release the partially-assembled document now
-                    // rather than holding it until the flush completes.
-                    conn.assembler.abort();
-                    metrics.chunk_aborts.inc();
-                }
-                conn.close_after_flush = true;
-                return;
-            }
-        };
-        if !conn.handshaken {
-            handshake_frame(conn, &frame, shared);
-            if conn.dead || conn.close_after_flush {
-                return;
-            }
-            continue;
-        }
-        metrics.frame_bytes.observe(frame.payload.len() as u64);
-        if frame.kind == FrameType::StatsRequest {
-            // Answered inline from the shard loop: scrapes must work
-            // even when every worker queue is saturated, and they stay
-            // out of the request accounting.
-            let snapshot = shared.config.metrics.snapshot().to_json();
-            enqueue(conn, &wire::stats_response(frame.id, &snapshot));
-            continue;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            let f = WireFault::new(FaultCode::Shutdown, "server is shutting down").retryable();
-            enqueue(conn, &wire::fault(frame.id, &f));
-            conn.close_after_flush = true;
-            return;
-        }
-        let work = if matches!(
-            frame.kind,
-            FrameType::DocChunkStart | FrameType::DocChunk | FrameType::DocChunkEnd
-        ) {
-            metrics.chunk_frames.inc();
-            if frame.kind == FrameType::DocChunk {
-                metrics
-                    .chunk_bytes
-                    .add(frame.payload.len().saturating_sub(4) as u64);
-            }
-            match conn.assembler.accept(&frame) {
-                Ok(ChunkProgress::Pending) | Ok(ChunkProgress::Drained) => continue,
-                Ok(ChunkProgress::Complete { name, bytes, .. }) => {
-                    match String::from_utf8(bytes) {
-                        Ok(text) => Work::Document { name, text },
-                        Err(_) => {
-                            shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                            metrics.fault();
-                            metrics.chunk_aborts.inc();
-                            let f = WireFault::new(
-                                FaultCode::Client,
-                                "chunked document is not UTF-8",
-                            );
-                            enqueue(conn, &wire::fault(frame.id, &f));
-                            continue;
-                        }
-                    }
-                }
-                Err(e) => {
-                    // The transfer is dead but the stream is still framed:
-                    // fault the transfer's request id and keep serving —
-                    // the assembler drains the pipelined remains itself.
-                    shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    metrics.chunk_aborts.inc();
-                    let f = match e {
-                        WireError::TooLarge { len, max } => {
-                            metrics.too_large.inc();
-                            metrics.frame_bytes.observe(len as u64);
-                            WireFault::new(
-                                FaultCode::TooLarge,
-                                format!(
-                                    "chunked transfer of {len} cumulative bytes exceeds the {max}-byte cap"
-                                ),
-                            )
-                        }
-                        other => WireFault::new(FaultCode::BadFrame, other.to_string()),
-                    };
-                    enqueue(conn, &wire::fault(frame.id, &f));
-                    continue;
-                }
-            }
-        } else if frame.kind != FrameType::Request {
-            shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-            metrics.fault();
-            let f = WireFault::new(FaultCode::BadFrame, "expected a Request frame");
-            enqueue(conn, &wire::fault(frame.id, &f));
-            continue;
-        } else {
-            match wire::decode_envelope(&frame.payload) {
-                Ok(e) => Work::Envelope(e),
-                Err(e) => {
-                    shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    let f = WireFault::new(FaultCode::Client, e.to_string());
-                    enqueue(conn, &wire::fault(frame.id, &f));
-                    continue;
-                }
-            }
-        };
-        let job = Job {
-            reply: ReplyTo::Shard {
-                shard: Arc::clone(handle),
-                conn: token,
-            },
-            id: frame.id,
-            work,
-        };
-        // Count the slot before the job becomes visible to workers (see
-        // the threads engine for why the order matters).
-        metrics.queue_depth.add(1);
-        match job_tx.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                // Backpressure: reject retryably instead of queueing.
-                metrics.queue_depth.sub(1);
-                shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.busy.inc();
-                let f = WireFault::new(FaultCode::Busy, "in-flight request queue is full")
-                    .retryable();
-                enqueue(conn, &wire::fault(job.id, &f));
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                metrics.queue_depth.sub(1);
-                shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                let f = WireFault::new(FaultCode::Shutdown, "server is shutting down").retryable();
-                enqueue(conn, &wire::fault(job.id, &f));
-                conn.close_after_flush = true;
-                return;
-            }
-        }
-    }
-}
-
-/// First-frame handling: the versioned handshake, byte-identical to the
-/// threads engine's `handshake`.
-fn handshake_frame(conn: &mut Conn, frame: &Frame, shared: &Arc<Shared>) {
-    if frame.kind != FrameType::Hello {
-        let f = WireFault::new(FaultCode::BadFrame, "expected Hello to open the connection");
-        enqueue(conn, &wire::fault(frame.id, &f));
-        conn.close_after_flush = true;
-        return;
-    }
-    match wire::decode_hello(&frame.payload) {
-        Ok((version, _peer)) if version == wire::VERSION => {
-            enqueue(
-                conn,
-                &wire::welcome_with(&shared.config.name, wire::CAP_CHUNKED),
-            );
-            conn.handshaken = true;
-        }
-        Ok((version, _)) => {
-            let f = WireFault::new(
-                FaultCode::Version,
-                format!("server speaks version {}, client {version}", wire::VERSION),
-            );
-            enqueue(conn, &wire::fault(0, &f));
-            conn.close_after_flush = true;
-        }
-        Err(e) => {
-            let f = WireFault::new(FaultCode::BadFrame, format!("bad Hello: {e}"));
-            enqueue(conn, &wire::fault(0, &f));
-            conn.close_after_flush = true;
-        }
-    }
-}
-
-fn enqueue(conn: &mut Conn, frame: &Frame) {
-    // Writing to a Vec only fails for >u32 payloads, which the server
-    // never produces.
-    let _ = wire::write_frame(&mut conn.out, frame);
-}
-
-fn try_flush(conn: &mut Conn, now: Instant) {
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.last_write_progress = now;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-    if conn.out_pos == conn.out.len() {
-        conn.out.clear();
-        conn.out_pos = 0;
-        if conn.out.capacity() > OUT_SHRINK {
-            conn.out = Vec::new();
-        }
-        if conn.close_after_flush {
-            conn.dead = true;
-        }
+    if conn.core.is_closed() {
+        conn.dead = true;
     }
 }
 
@@ -725,7 +444,7 @@ fn try_flush(conn: &mut Conn, now: Instant) {
 /// to write. Level-triggered write interest on an idle socket would
 /// busy-spin the shard, so it is armed only while `out` is non-empty.
 fn update_interest(conn: &mut Conn, token: u64, poller: &Poller) {
-    let want = conn.pending_out() > 0;
+    let want = !conn.core.output().is_empty();
     if want != conn.want_write
         && poller
             .modify(
@@ -740,241 +459,5 @@ fn update_interest(conn: &mut Conn, token: u64, poller: &Poller) {
             .is_ok()
     {
         conn.want_write = want;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::server::{Handler, IoMode, NetServer, ServerConfig};
-    use crate::wire::{self, FaultCode, FrameType, WireFault};
-    use std::io::{BufReader, Write as _};
-    use std::net::TcpStream;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    fn poll_config() -> ServerConfig {
-        ServerConfig {
-            io: IoMode::Poll,
-            ..ServerConfig::default()
-        }
-    }
-
-    fn echo_server(config: ServerConfig) -> NetServer {
-        let handler: Arc<dyn Handler> = Arc::new(|_id: u64, envelope: &str| {
-            if envelope == "boom" {
-                Err(WireFault::new(FaultCode::Server, "boom requested"))
-            } else {
-                Ok(format!("echo:{envelope}"))
-            }
-        });
-        NetServer::bind("127.0.0.1:0", handler, config).unwrap()
-    }
-
-    fn dial(server: &NetServer) -> (BufReader<TcpStream>, TcpStream) {
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        wire::set_stream_timeouts(
-            &stream,
-            Some(Duration::from_secs(5)),
-            Some(Duration::from_secs(5)),
-        )
-        .unwrap();
-        let reader = BufReader::new(stream.try_clone().unwrap());
-        (reader, stream)
-    }
-
-    fn shake(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream) {
-        wire::write_frame(stream, &wire::hello("test-client")).unwrap();
-        let back = wire::read_frame(reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Welcome);
-        let (v, name) = wire::decode_welcome(&back.payload).unwrap();
-        assert_eq!(v, wire::VERSION);
-        assert_eq!(name, "axml-peer");
-    }
-
-    #[test]
-    fn poll_engine_serves_requests_and_faults() {
-        let server = echo_server(poll_config());
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        wire::write_frame(&mut stream, &wire::request(1, "hi")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Response);
-        assert_eq!(back.id, 1);
-        assert_eq!(wire::decode_envelope(&back.payload).unwrap(), "echo:hi");
-        wire::write_frame(&mut stream, &wire::request(2, "boom")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::Server);
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn poll_engine_stalled_writer_gets_timeout_fault() {
-        let server = echo_server(ServerConfig {
-            read_timeout: Duration::from_millis(50),
-            ..poll_config()
-        });
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        // Half a header, then silence.
-        stream.write_all(&[0x03, 0, 0, 0]).unwrap();
-        stream.flush().unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::Timeout);
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn poll_engine_single_shard_and_many_shards_both_serve() {
-        for shards in [1, 4] {
-            let server = echo_server(ServerConfig {
-                shards,
-                ..poll_config()
-            });
-            let (mut reader, mut stream) = dial(&server);
-            shake(&mut reader, &mut stream);
-            for i in 0..5 {
-                wire::write_frame(&mut stream, &wire::request(i, "ping")).unwrap();
-                let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-                assert_eq!(back.id, i);
-                assert_eq!(back.kind, FrameType::Response);
-            }
-            assert_eq!(
-                server
-                    .stats()
-                    .served
-                    .load(std::sync::atomic::Ordering::Relaxed),
-                5
-            );
-            server.shutdown().unwrap();
-        }
-    }
-
-    struct StoreDoc;
-
-    impl Handler for StoreDoc {
-        fn handle(&self, _id: u64, envelope: &str) -> Result<String, WireFault> {
-            Ok(format!("echo:{envelope}"))
-        }
-        fn handle_document(
-            &self,
-            _id: u64,
-            name: &str,
-            text: &str,
-        ) -> Result<String, WireFault> {
-            Ok(format!("stored:{name}:{}", text.len()))
-        }
-    }
-
-    fn chunk_frames(id: u64, name: &str, data: &[u8], chunk: usize) -> Vec<wire::Frame> {
-        let mut digest = axml_support::hash::Fnv64::new();
-        let mut frames = vec![wire::doc_chunk_start(id, name)];
-        let mut seq = 0u32;
-        for piece in data.chunks(chunk) {
-            digest.update(piece);
-            frames.push(wire::doc_chunk(id, seq, piece));
-            seq += 1;
-        }
-        frames.push(wire::doc_chunk_end(id, seq, data.len() as u64, digest.finish()));
-        frames
-    }
-
-    #[test]
-    fn poll_engine_serves_chunked_transfers() {
-        let server = NetServer::bind("127.0.0.1:0", Arc::new(StoreDoc), poll_config()).unwrap();
-        let (mut reader, mut stream) = dial(&server);
-        wire::write_frame(&mut stream, &wire::hello_with("test-client", wire::CAP_CHUNKED))
-            .unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Welcome);
-        let (_, _, caps) = wire::decode_welcome_caps(&back.payload).unwrap();
-        assert_ne!(caps & wire::CAP_CHUNKED, 0);
-        let doc = "<doc>".to_string() + &"x".repeat(2000) + "</doc>";
-        for f in chunk_frames(11, "big.xml", doc.as_bytes(), 97) {
-            wire::write_frame(&mut stream, &f).unwrap();
-        }
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Response);
-        assert_eq!(back.id, 11);
-        assert_eq!(
-            wire::decode_envelope(&back.payload).unwrap(),
-            format!("stored:big.xml:{}", doc.len())
-        );
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn poll_engine_chunk_fault_keeps_the_connection_serving() {
-        let server = NetServer::bind("127.0.0.1:0", Arc::new(StoreDoc), poll_config()).unwrap();
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        // Out-of-sequence chunk: typed BadFrame on the transfer's id.
-        wire::write_frame(&mut stream, &wire::doc_chunk_start(3, "d")).unwrap();
-        wire::write_frame(&mut stream, &wire::doc_chunk(3, 5, b"zz")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        assert_eq!(back.id, 3);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::BadFrame);
-        assert!(f.message.contains("out of sequence"));
-        // Same connection still serves ordinary requests...
-        wire::write_frame(&mut stream, &wire::request(4, "hi")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Response);
-        assert_eq!(back.id, 4);
-        // ...and a fresh transfer.
-        for f in chunk_frames(5, "ok.xml", b"<ok/>", 2) {
-            wire::write_frame(&mut stream, &f).unwrap();
-        }
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Response);
-        assert_eq!(back.id, 5);
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn poll_engine_stall_inside_chunk_transfer_times_out() {
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            Arc::new(StoreDoc),
-            ServerConfig {
-                read_timeout: Duration::from_millis(50),
-                ..poll_config()
-            },
-        )
-        .unwrap();
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        wire::write_frame(&mut stream, &wire::doc_chunk_start(9, "stall")).unwrap();
-        wire::write_frame(&mut stream, &wire::doc_chunk(9, 0, b"abc")).unwrap();
-        stream.flush().unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::Timeout);
-        assert!(f.message.contains("mid-chunk-transfer"));
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn poll_engine_pipelines_requests_from_one_connection() {
-        let server = echo_server(poll_config());
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        // Fire a burst without reading, then collect: replies may be
-        // reordered across workers but every id must come back once.
-        for i in 0..16u64 {
-            wire::write_frame(&mut stream, &wire::request(i, &format!("m{i}"))).unwrap();
-        }
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..16 {
-            let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-            assert_eq!(back.kind, FrameType::Response);
-            assert!(seen.insert(back.id));
-        }
-        server.shutdown().unwrap();
     }
 }

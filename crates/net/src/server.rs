@@ -1,26 +1,26 @@
 //! The peer daemon: a concurrent server for the wire protocol.
 //!
 //! The daemon ships with **two connection engines** behind one config
-//! knob ([`ServerConfig::io`]); both speak the same wire protocol, emit
-//! the same fault taxonomy, and publish the same metrics:
+//! knob ([`ServerConfig::io`]). Both drive the same per-connection state
+//! machine, [`Connection`] (`conn`, DESIGN.md §12.4), so they speak one
+//! protocol, emit one fault taxonomy and publish one set of metrics; an
+//! engine only does its own I/O:
 //!
 //! * [`IoMode::Threads`] (the default, and this module) — one blocking
-//!   reader thread per connection over a fixed worker pool. Simple, and
-//!   works over any [`Transport`] including the simulator's in-memory
-//!   network.
+//!   reader thread per connection over a fixed worker pool;
 //! * [`IoMode::Poll`] (`poll_server`, DESIGN.md §12) — an event-driven
 //!   readiness loop (epoll/kqueue via `axml_support::poll`): a few shard
-//!   threads multiplex thousands of non-blocking TCP connections. The
-//!   scaling engine; TCP only.
+//!   threads multiplex thousands of non-blocking TCP connections.
 //!
 //! Threads-engine architecture (all plain `std` threads):
 //!
-//! * one **accept thread** polls the (non-blocking) [`Acceptor`] and
-//!   spawns a lightweight **reader thread** per connection;
-//! * each reader performs the versioned handshake, then decodes `Request`
-//!   frames and pushes jobs into a **bounded in-flight queue** — when the
-//!   queue is full the reader immediately answers a retryable
-//!   [`FaultCode::Busy`] fault instead of blocking (backpressure);
+//! * one **accept thread** polls the non-blocking listener and spawns a
+//!   lightweight **reader thread** per connection;
+//! * each reader feeds the frames it reads to its [`Connection`] and
+//!   writes back the replies the core emits; requests become jobs in a
+//!   **bounded in-flight queue** — when the queue is full the core
+//!   answers a retryable [`FaultCode::Busy`] fault instead of blocking
+//!   (backpressure);
 //! * a **fixed-size worker pool** drains the queue, runs the
 //!   application-level [`Handler`] (for an Active XML peer: decode the
 //!   SOAP envelope, run the Schema Enforcement module, encode the reply),
@@ -32,26 +32,19 @@
 //!   drains-and-joins every worker (bounded wait), and reports any
 //!   worker panic as an error instead of leaking threads.
 //!
-//! The threads engine is generic over [`Transport`]: [`NetServer::bind`]
-//! listens on real TCP, [`NetServer::bind_with`] on anything implementing
-//! the trait — the connection handling, backpressure and shutdown logic
-//! are identical either way. (`bind_with` always runs the threads engine:
-//! simulated transports hand out opaque byte streams, not pollable fds.)
-//!
 //! Per-connection read/write timeouts bound every blocking read or write:
 //! an idle connection is kept (pooled clients stay connected), but a peer
 //! that stalls *mid-frame* is answered with a `Timeout` fault and
 //! dropped.
 
-use crate::transport::{Acceptor, Duplex, TcpTransport, Transport};
-use crate::wire::{self, FaultCode, Frame, FrameType, WireError, WireFault};
-use axml_support::clock::Clock;
+use crate::conn::{Admission, Connection, Protocol, Work};
+use crate::wire::{self, FaultCode, WireFault};
 use axml_support::sync::channel::{bounded, Receiver, Sender, TrySendError};
 use axml_support::sync::Mutex;
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::ToSocketAddrs;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -91,8 +84,8 @@ where
 /// requests. See the module docs for the trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoMode {
-    /// One blocking reader thread per connection (works on any
-    /// transport; a wall at thousands of peers).
+    /// One blocking reader thread per connection (a wall at thousands
+    /// of peers).
     #[default]
     Threads,
     /// Event-driven readiness loop: sharded epoll/kqueue, bounded
@@ -188,7 +181,7 @@ pub struct ServerStats {
     pub faulted: AtomicU64,
 }
 
-type SharedWriter = Arc<Mutex<Box<dyn Duplex>>>;
+type SharedWriter = Arc<Mutex<TcpStream>>;
 
 /// Where a worker delivers a finished reply. The threads engine hands
 /// workers the connection's locked writer; the poll engine cannot (its
@@ -204,91 +197,26 @@ pub(crate) enum ReplyTo {
     },
 }
 
-/// What a queued job asks the worker to run: a plain request envelope,
-/// or a reassembled chunk-shipped document.
-pub(crate) enum Work {
-    Envelope(String),
-    Document { name: String, text: String },
-}
-
 pub(crate) struct Job {
     pub(crate) reply: ReplyTo,
     pub(crate) id: u64,
     pub(crate) work: Work,
 }
 
-/// Pre-resolved handles onto the `server.*` catalogue entries, so hot
-/// paths never touch the registry's name map.
-pub(crate) struct Metrics {
-    pub(crate) connections: axml_obs::Counter,
-    requests: axml_obs::Counter,
-    responses_ok: axml_obs::Counter,
-    faults: axml_obs::Counter,
-    pub(crate) busy: axml_obs::Counter,
-    pub(crate) timeouts: axml_obs::Counter,
-    pub(crate) too_large: axml_obs::Counter,
-    pub(crate) panics: axml_obs::Counter,
-    pub(crate) queue_depth: axml_obs::Gauge,
-    pub(crate) frame_bytes: axml_obs::Histogram,
-    /// Poll engine only: live connections across all shards.
-    pub(crate) poll_connections: axml_obs::Gauge,
-    /// Poll engine only: bytes held in per-connection read/write buffers
-    /// across all shards (the bounded-memory witness).
-    pub(crate) poll_buffer_bytes: axml_obs::Gauge,
-    /// Chunk-family frames accepted (both engines).
-    pub(crate) chunk_frames: axml_obs::Counter,
-    /// Document bytes received via `DocChunk` frames.
-    pub(crate) chunk_bytes: axml_obs::Counter,
-    /// Chunked transfers aborted by a typed error before completion.
-    pub(crate) chunk_aborts: axml_obs::Counter,
-    /// Bytes currently buffered across all in-flight chunk reassemblies.
-    pub(crate) chunk_reassembly: axml_obs::Gauge,
-}
-
-impl Metrics {
-    fn new(r: &axml_obs::Registry) -> Self {
-        Metrics {
-            connections: r.counter("server.connections_total"),
-            requests: r.counter("server.requests_total"),
-            responses_ok: r.counter("server.responses_ok_total"),
-            faults: r.counter("server.faults_total"),
-            busy: r.counter("server.busy_total"),
-            timeouts: r.counter("server.timeouts_total"),
-            too_large: r.counter("server.frame_too_large_total"),
-            panics: r.counter("server.panics_total"),
-            queue_depth: r.gauge("server.queue_depth"),
-            frame_bytes: r.histogram("server.frame_bytes", axml_obs::BYTES_BOUNDS),
-            poll_connections: r.gauge("server.poll.connections"),
-            poll_buffer_bytes: r.gauge("server.poll.buffer_bytes"),
-            chunk_frames: r.counter("net.chunk.frames_total"),
-            chunk_bytes: r.counter("net.chunk.bytes_total"),
-            chunk_aborts: r.counter("net.chunk.aborts_total"),
-            chunk_reassembly: r.gauge("net.chunk.reassembly_bytes"),
-        }
-    }
-
-    /// Accounts one faulted request. Every accepted request ends in
-    /// exactly one `ok()` or `fault()` call, so
-    /// `requests_total = responses_ok_total + faults_total` holds.
-    pub(crate) fn fault(&self) {
-        self.requests.inc();
-        self.faults.inc();
-    }
-
-    /// Accounts one successfully answered request.
-    pub(crate) fn ok(&self) {
-        self.requests.inc();
-        self.responses_ok.inc();
+/// Offers `job` to a worker queue without blocking — the admission both
+/// engines hand their [`Connection`]s.
+pub(crate) fn admit(job_tx: &Sender<Job>, job: Job) -> Admission {
+    match job_tx.try_send(job) {
+        Ok(()) => Admission::Admitted,
+        Err(TrySendError::Full(_)) => Admission::Busy,
+        Err(TrySendError::Disconnected(_)) => Admission::Closed,
     }
 }
 
 pub(crate) struct Shared {
     pub(crate) handler: Arc<dyn Handler>,
     pub(crate) config: ServerConfig,
-    pub(crate) clock: Arc<dyn Clock>,
-    pub(crate) stats: Arc<ServerStats>,
-    pub(crate) metrics: Metrics,
-    pub(crate) stop: AtomicBool,
+    pub(crate) proto: Protocol,
     /// Live connection streams, keyed by a connection id, so shutdown can
     /// unblock readers stuck in a read. (Threads engine only; the poll
     /// engine's shards own their connections outright.)
@@ -296,32 +224,11 @@ pub(crate) struct Shared {
     next_conn: AtomicU64,
 }
 
-impl Shared {
-    pub(crate) fn new(
-        handler: Arc<dyn Handler>,
-        clock: Arc<dyn Clock>,
-        config: ServerConfig,
-    ) -> Arc<Shared> {
-        let metrics = Metrics::new(&config.metrics);
-        Arc::new(Shared {
-            handler,
-            config,
-            clock,
-            stats: Arc::new(ServerStats::default()),
-            metrics,
-            stop: AtomicBool::new(false),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-        })
-    }
-}
-
 /// A running daemon; dropping it without [`NetServer::shutdown`] still
 /// stops and joins everything (panics in workers are then swallowed).
 pub struct NetServer {
     shared: Arc<Shared>,
-    endpoint: String,
-    local_addr: Option<std::net::SocketAddr>,
+    local_addr: SocketAddr,
     engine: Engine,
 }
 
@@ -384,93 +291,35 @@ impl NetServer {
                     "address resolved to nothing",
                 ))
             })?;
-        if config.io == IoMode::Poll {
-            let shared = Shared::new(handler, axml_support::clock::system(), config);
-            let (engine, local) = crate::poll_server::PollEngine::bind(addr, &shared)?;
-            return Ok(NetServer {
-                shared,
-                endpoint: local.to_string(),
-                local_addr: Some(local),
-                engine: Engine::Poll(engine),
-            });
-        }
-        NetServer::bind_with(
-            &TcpTransport,
-            &addr.to_string(),
-            axml_support::clock::system(),
+        let listener = TcpListener::bind(addr).map_err(ServerError::Io)?;
+        listener.set_nonblocking(true).map_err(ServerError::Io)?;
+        let local_addr = listener.local_addr().map_err(ServerError::Io)?;
+        let shared = Arc::new(Shared {
             handler,
+            proto: Protocol::new(&config),
             config,
-        )
-    }
-
-    /// Binds `endpoint` on an explicit transport and clock — how tests
-    /// run this exact server over an in-memory network. Always runs the
-    /// threads engine regardless of [`ServerConfig::io`]: simulated
-    /// transports hand out opaque byte streams, not pollable fds.
-    pub fn bind_with(
-        transport: &dyn Transport,
-        endpoint: &str,
-        clock: Arc<dyn Clock>,
-        handler: Arc<dyn Handler>,
-        config: ServerConfig,
-    ) -> Result<NetServer, ServerError> {
-        let acceptor = transport.bind(endpoint).map_err(ServerError::Io)?;
-        let endpoint = acceptor.local_endpoint();
-        let local_addr = acceptor.local_addr();
-        let workers = config.workers.max(1);
-        let queue = config.queue.max(1);
-        let shared = Shared::new(handler, clock, config);
-
-        let (job_tx, job_rx) = bounded::<Job>(queue);
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut worker_handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let shared = Arc::clone(&shared);
-            let job_rx: Arc<Mutex<Receiver<Job>>> = Arc::clone(&job_rx);
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("axml-net-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, &job_rx))
-                    .expect("spawn worker thread"),
-            );
-        }
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let job_tx = job_tx.clone();
-            std::thread::Builder::new()
-                .name("axml-net-accept".to_owned())
-                .spawn(move || accept_loop(acceptor.as_ref(), &shared, &job_tx))
-                .expect("spawn accept thread")
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
+        });
+        let engine = match shared.config.io {
+            IoMode::Poll => Engine::Poll(crate::poll_server::PollEngine::start(listener, &shared)?),
+            IoMode::Threads => start_threads(listener, &shared),
         };
-
         Ok(NetServer {
             shared,
-            endpoint,
             local_addr,
-            engine: Engine::Threads {
-                accept: Some(accept),
-                workers: worker_handles,
-                job_tx: Some(job_tx),
-            },
+            engine,
         })
     }
 
-    /// The bound endpoint, in the transport's notation.
-    pub fn endpoint(&self) -> &str {
-        &self.endpoint
-    }
-
-    /// The bound socket address (useful with port 0). Panics when the
-    /// server was bound over a non-TCP transport; use
-    /// [`NetServer::endpoint`] there.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr.expect("server is not bound to a TCP socket")
+    /// The bound socket address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
     }
 
     /// The server's counters.
     pub fn stats(&self) -> &ServerStats {
-        &self.shared.stats
+        &self.shared.proto.stats
     }
 
     /// Graceful shutdown: stop accepting, unblock + join readers, drain +
@@ -480,10 +329,10 @@ impl NetServer {
     }
 
     fn stop_all(&mut self) -> Result<(), ServerError> {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.proto.stop();
         let mut first_panic: Option<String> = None;
         {
-            let panics = &self.shared.metrics.panics;
+            let panics = &self.shared.proto.metrics.panics;
             let mut note = |r: std::thread::Result<()>| {
                 if let Err(p) = r {
                     let msg = panic_message(p);
@@ -500,7 +349,7 @@ impl NetServer {
                 } => {
                     // Unblock readers parked in reads.
                     for conn in self.shared.conns.lock().values() {
-                        let _ = conn.lock().shutdown();
+                        let _ = conn.lock().shutdown(std::net::Shutdown::Both);
                     }
                     if let Some(accept) = accept.take() {
                         match accept.join() {
@@ -534,17 +383,45 @@ impl Drop for NetServer {
     }
 }
 
+/// Starts the threads engine: the worker pool and the accept thread.
+fn start_threads(listener: TcpListener, shared: &Arc<Shared>) -> Engine {
+    let (job_tx, job_rx) = bounded::<Job>(shared.config.queue.max(1));
+    let job_rx = Arc::new(Mutex::new(job_rx));
+    let workers = (0..shared.config.workers.max(1))
+        .map(|w| {
+            let shared = Arc::clone(shared);
+            let job_rx = Arc::clone(&job_rx);
+            std::thread::Builder::new()
+                .name(format!("axml-net-worker-{w}"))
+                .spawn(move || worker_loop(&shared, &job_rx))
+                .expect("spawn worker thread")
+        })
+        .collect();
+    let accept = {
+        let shared = Arc::clone(shared);
+        let job_tx = job_tx.clone();
+        std::thread::Builder::new()
+            .name("axml-net-accept".to_owned())
+            .spawn(move || accept_loop(&listener, &shared, &job_tx))
+            .expect("spawn accept thread")
+    };
+    Engine::Threads {
+        accept: Some(accept),
+        workers,
+        job_tx: Some(job_tx),
+    }
+}
+
 fn accept_loop(
-    acceptor: &dyn Acceptor,
+    listener: &TcpListener,
     shared: &Arc<Shared>,
     job_tx: &Sender<Job>,
 ) -> Vec<JoinHandle<()>> {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        match acceptor.accept() {
-            Ok(stream) => {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.connections.inc();
+    while !shared.proto.stopping() {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                shared.proto.accepted();
                 let shared = Arc::clone(shared);
                 let job_tx = job_tx.clone();
                 readers.push(
@@ -558,7 +435,7 @@ fn accept_loop(
                 readers.retain(|h| !h.is_finished());
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                shared.clock.sleep(Duration::from_millis(10));
+                std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => break,
@@ -567,8 +444,9 @@ fn accept_loop(
     readers
 }
 
-/// Serves one connection: handshake, then requests until close/shutdown.
-fn reader_loop(stream: Box<dyn Duplex>, shared: &Arc<Shared>, job_tx: &Sender<Job>) {
+/// Serves one connection: blocking reads into the core, the core's
+/// replies out through the shared writer, until the core closes.
+fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, job_tx: &Sender<Job>) {
     let config = &shared.config;
     if stream
         .set_read_timeout(Some(config.read_timeout))
@@ -582,275 +460,31 @@ fn reader_loop(stream: Box<dyn Duplex>, shared: &Arc<Shared>, job_tx: &Sender<Jo
         Err(_) => return,
     };
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-    shared
-        .conns
-        .lock()
-        .insert(conn_id, Arc::clone(&writer));
+    shared.conns.lock().insert(conn_id, Arc::clone(&writer));
+    let proto = &shared.proto;
     let mut reader = BufReader::new(stream);
-    if handshake(&mut reader, &writer, shared).is_ok() {
-        serve_frames(&mut reader, &writer, shared, job_tx);
+    let mut conn = Connection::new(proto);
+    while !conn.is_closed() {
+        let input = wire::read_frame(&mut reader, config.max_frame);
+        conn.on_input(proto, input, |id, work| {
+            let reply = ReplyTo::Stream(Arc::clone(&writer));
+            admit(job_tx, Job { reply, id, work })
+        });
+        let out = conn.output();
+        if !out.is_empty() {
+            let sent = {
+                let mut w = writer.lock();
+                w.write_all(out).and_then(|()| w.flush())
+            };
+            let n = out.len();
+            conn.consume(n);
+            if sent.is_err() {
+                break;
+            }
+        }
     }
+    conn.close(proto);
     shared.conns.lock().remove(&conn_id);
-}
-
-fn send_reply(writer: &SharedWriter, frame: &Frame) -> Result<(), WireError> {
-    wire::write_frame(&mut *writer.lock(), frame)
-}
-
-fn handshake(
-    reader: &mut BufReader<Box<dyn Duplex>>,
-    writer: &SharedWriter,
-    shared: &Arc<Shared>,
-) -> Result<(), ()> {
-    // The handshake must arrive promptly: idle timeouts here are fatal.
-    let frame = loop {
-        match wire::read_frame(reader, shared.config.max_frame) {
-            Ok(f) => break f,
-            Err(WireError::Idle) if !shared.stop.load(Ordering::SeqCst) => {
-                return Err(()); // never sent a handshake: drop silently
-            }
-            Err(_) => return Err(()),
-        }
-    };
-    if frame.kind != FrameType::Hello {
-        let f = WireFault::new(FaultCode::BadFrame, "expected Hello to open the connection");
-        let _ = send_reply(writer, &wire::fault(frame.id, &f));
-        return Err(());
-    }
-    match wire::decode_hello(&frame.payload) {
-        Ok((version, _peer)) if version == wire::VERSION => send_reply(
-            writer,
-            &wire::welcome_with(&shared.config.name, wire::CAP_CHUNKED),
-        )
-        .map_err(|_| ()),
-        Ok((version, _)) => {
-            let f = WireFault::new(
-                FaultCode::Version,
-                format!("server speaks version {}, client {version}", wire::VERSION),
-            );
-            let _ = send_reply(writer, &wire::fault(0, &f));
-            Err(())
-        }
-        Err(e) => {
-            let f = WireFault::new(FaultCode::BadFrame, format!("bad Hello: {e}"));
-            let _ = send_reply(writer, &wire::fault(0, &f));
-            Err(())
-        }
-    }
-}
-
-fn serve_frames(
-    reader: &mut BufReader<Box<dyn Duplex>>,
-    writer: &SharedWriter,
-    shared: &Arc<Shared>,
-    job_tx: &Sender<Job>,
-) {
-    let mut assembler = crate::frames::ChunkAssembler::new(shared.config.max_doc);
-    let mut reported = 0i64;
-    serve_frames_loop(reader, writer, shared, job_tx, &mut assembler, &mut reported);
-    // Whatever ended the connection, give back the reassembly bytes and
-    // account a partial transfer as aborted.
-    shared.metrics.chunk_reassembly.sub(reported);
-    if assembler.active() {
-        shared.metrics.chunk_aborts.inc();
-    }
-}
-
-/// Publishes the delta between the assembler's current buffer and what
-/// was last reported into the `net.chunk.reassembly_bytes` gauge.
-fn sync_reassembly_gauge(
-    metrics: &Metrics,
-    assembler: &crate::frames::ChunkAssembler,
-    reported: &mut i64,
-) {
-    let now = assembler.buffered_len() as i64;
-    metrics.chunk_reassembly.add(now - *reported);
-    *reported = now;
-}
-
-fn serve_frames_loop(
-    reader: &mut BufReader<Box<dyn Duplex>>,
-    writer: &SharedWriter,
-    shared: &Arc<Shared>,
-    job_tx: &Sender<Job>,
-    assembler: &mut crate::frames::ChunkAssembler,
-    reported: &mut i64,
-) {
-    let stats = &shared.stats;
-    let metrics = &shared.metrics;
-    loop {
-        let frame = match wire::read_frame(reader, shared.config.max_frame) {
-            Ok(f) => f,
-            Err(WireError::Idle) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if assembler.active() {
-                    // A transfer is open but the peer went quiet between
-                    // chunk frames — the same stall as silence inside a
-                    // frame, and the same taxonomy.
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    metrics.timeouts.inc();
-                    let f =
-                        WireFault::new(FaultCode::Timeout, "read timed out mid-chunk-transfer");
-                    let _ = send_reply(writer, &wire::fault(0, &f));
-                    return;
-                }
-                // Idle pooled connections are kept until shutdown.
-                continue;
-            }
-            Err(WireError::Stalled) => {
-                stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.timeouts.inc();
-                let f = WireFault::new(FaultCode::Timeout, "read timed out mid-frame");
-                let _ = send_reply(writer, &wire::fault(0, &f));
-                return;
-            }
-            Err(WireError::TooLarge { len, max }) => {
-                // The oversized payload was never read; the stream is no
-                // longer framed, so fault and close.
-                stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.too_large.inc();
-                metrics.frame_bytes.observe(len as u64);
-                let f = WireFault::new(
-                    FaultCode::TooLarge,
-                    format!("{len}-byte payload exceeds the {max}-byte cap"),
-                );
-                let _ = send_reply(writer, &wire::fault(0, &f));
-                return;
-            }
-            Err(WireError::Closed) => return,
-            Err(e) => {
-                if !shared.stop.load(Ordering::SeqCst) {
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    let f = WireFault::new(FaultCode::BadFrame, e.to_string());
-                    let _ = send_reply(writer, &wire::fault(0, &f));
-                }
-                return;
-            }
-        };
-        metrics.frame_bytes.observe(frame.payload.len() as u64);
-        if frame.kind == FrameType::StatsRequest {
-            // Answered inline from the reader: scrapes must work even
-            // when the worker queue is saturated. Scrapes are not
-            // requests, so they stay out of the request accounting.
-            let snapshot = shared.config.metrics.snapshot().to_json();
-            let _ = send_reply(writer, &wire::stats_response(frame.id, &snapshot));
-            continue;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            let f = WireFault::new(FaultCode::Shutdown, "server is shutting down").retryable();
-            let _ = send_reply(writer, &wire::fault(frame.id, &f));
-            return;
-        }
-        let work = if matches!(
-            frame.kind,
-            FrameType::DocChunkStart | FrameType::DocChunk | FrameType::DocChunkEnd
-        ) {
-            metrics.chunk_frames.inc();
-            if frame.kind == FrameType::DocChunk {
-                metrics
-                    .chunk_bytes
-                    .add(frame.payload.len().saturating_sub(4) as u64);
-            }
-            let outcome = assembler.accept(&frame);
-            sync_reassembly_gauge(metrics, assembler, reported);
-            match outcome {
-                Ok(crate::frames::ChunkProgress::Pending)
-                | Ok(crate::frames::ChunkProgress::Drained) => continue,
-                Ok(crate::frames::ChunkProgress::Complete { name, bytes, .. }) => {
-                    match String::from_utf8(bytes) {
-                        Ok(text) => Work::Document { name, text },
-                        Err(_) => {
-                            stats.faulted.fetch_add(1, Ordering::Relaxed);
-                            metrics.fault();
-                            metrics.chunk_aborts.inc();
-                            let f = WireFault::new(
-                                FaultCode::Client,
-                                "chunked document is not UTF-8",
-                            );
-                            let _ = send_reply(writer, &wire::fault(frame.id, &f));
-                            continue;
-                        }
-                    }
-                }
-                Err(e) => {
-                    // The transfer is dead but the stream is still framed:
-                    // fault the transfer's request id and keep serving —
-                    // the assembler drains the pipelined remains itself.
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    metrics.chunk_aborts.inc();
-                    let f = match e {
-                        WireError::TooLarge { len, max } => {
-                            metrics.too_large.inc();
-                            metrics.frame_bytes.observe(len as u64);
-                            WireFault::new(
-                                FaultCode::TooLarge,
-                                format!(
-                                    "chunked transfer of {len} cumulative bytes exceeds the {max}-byte cap"
-                                ),
-                            )
-                        }
-                        other => WireFault::new(FaultCode::BadFrame, other.to_string()),
-                    };
-                    let _ = send_reply(writer, &wire::fault(frame.id, &f));
-                    continue;
-                }
-            }
-        } else if frame.kind != FrameType::Request {
-            stats.faulted.fetch_add(1, Ordering::Relaxed);
-            metrics.fault();
-            let f = WireFault::new(FaultCode::BadFrame, "expected a Request frame");
-            let _ = send_reply(writer, &wire::fault(frame.id, &f));
-            continue;
-        } else {
-            match wire::decode_envelope(&frame.payload) {
-                Ok(e) => Work::Envelope(e),
-                Err(e) => {
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    let f = WireFault::new(FaultCode::Client, e.to_string());
-                    let _ = send_reply(writer, &wire::fault(frame.id, &f));
-                    continue;
-                }
-            }
-        };
-        let job = Job {
-            reply: ReplyTo::Stream(Arc::clone(writer)),
-            id: frame.id,
-            work,
-        };
-        // Count the slot before the job becomes visible to workers: the
-        // worker's decrement must never be able to outrun our increment,
-        // or the gauge could read negative at rest.
-        metrics.queue_depth.add(1);
-        match job_tx.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                // Backpressure: reject retryably instead of queueing.
-                metrics.queue_depth.sub(1);
-                stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.busy.inc();
-                let f = WireFault::new(FaultCode::Busy, "in-flight request queue is full")
-                    .retryable();
-                let _ = send_reply(writer, &wire::fault(job.id, &f));
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                metrics.queue_depth.sub(1);
-                stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                let f = WireFault::new(FaultCode::Shutdown, "server is shutting down").retryable();
-                let _ = send_reply(writer, &wire::fault(job.id, &f));
-                return;
-            }
-        }
-    }
 }
 
 pub(crate) fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<Mutex<Receiver<Job>>>) {
@@ -860,29 +494,18 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<Mutex<Receiver<Job>
             Ok(j) => j,
             Err(_) => return, // queue closed: graceful shutdown
         };
-        shared.metrics.queue_depth.sub(1);
+        shared.proto.metrics.queue_depth.sub(1);
         let outcome = match &job.work {
             Work::Envelope(envelope) => shared.handler.handle(job.id, envelope),
             Work::Document { name, text } => shared.handler.handle_document(job.id, name, text),
         };
-        let reply = match outcome {
-            Ok(envelope) => {
-                shared.stats.served.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.ok();
-                wire::response(job.id, &envelope)
-            }
-            Err(fault) => {
-                shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.fault();
-                wire::fault(job.id, &fault)
-            }
-        };
+        let reply = shared.proto.answer(job.id, outcome);
         // A gone client is not the server's problem — in either engine:
         // the direct write may fail, or the shard may find the
         // connection already closed and drop the frame.
         match &job.reply {
             ReplyTo::Stream(writer) => {
-                let _ = send_reply(writer, &reply);
+                let _ = wire::write_frame(&mut *writer.lock(), &reply);
             }
             ReplyTo::Shard { shard, conn } => shard.deliver(*conn, reply),
         }
@@ -891,9 +514,19 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<Mutex<Receiver<Job>
 
 #[cfg(test)]
 mod tests {
+    //! The engine unit suite: every case runs over both [`IoMode`]s.
+
     use super::*;
-    use std::io::Write as _;
-    use std::net::TcpStream;
+    use crate::wire::{Frame, FrameType};
+
+    const MODES: [IoMode; 2] = [IoMode::Threads, IoMode::Poll];
+
+    fn mode(io: IoMode) -> ServerConfig {
+        ServerConfig {
+            io,
+            ..ServerConfig::default()
+        }
+    }
 
     fn echo_server(config: ServerConfig) -> NetServer {
         let handler: Arc<dyn Handler> = Arc::new(|_id: u64, envelope: &str| {
@@ -918,118 +551,139 @@ mod tests {
         (reader, stream)
     }
 
+    fn next(reader: &mut BufReader<TcpStream>) -> Frame {
+        wire::read_frame(reader, wire::DEFAULT_MAX_FRAME).unwrap()
+    }
+
     fn shake(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream) {
         wire::write_frame(stream, &wire::hello("test-client")).unwrap();
-        let back = wire::read_frame(reader, wire::DEFAULT_MAX_FRAME).unwrap();
+        let back = next(reader);
         assert_eq!(back.kind, FrameType::Welcome);
         let (v, name) = wire::decode_welcome(&back.payload).unwrap();
         assert_eq!(v, wire::VERSION);
         assert_eq!(name, "axml-peer");
     }
 
+    fn fault_of(frame: &Frame) -> WireFault {
+        assert_eq!(frame.kind, FrameType::Fault);
+        wire::decode_fault(&frame.payload).unwrap()
+    }
+
     #[test]
     fn serves_requests_and_faults() {
-        let server = echo_server(ServerConfig::default());
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        wire::write_frame(&mut stream, &wire::request(1, "hi")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Response);
-        assert_eq!(back.id, 1);
-        assert_eq!(wire::decode_envelope(&back.payload).unwrap(), "echo:hi");
-        wire::write_frame(&mut stream, &wire::request(2, "boom")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::Server);
-        assert!(!f.retryable);
-        server.shutdown().unwrap();
+        for io in MODES {
+            let server = echo_server(mode(io));
+            let (mut reader, mut stream) = dial(&server);
+            shake(&mut reader, &mut stream);
+            wire::write_frame(&mut stream, &wire::request(1, "hi")).unwrap();
+            let back = next(&mut reader);
+            assert_eq!(back.kind, FrameType::Response, "{io}");
+            assert_eq!(back.id, 1);
+            assert_eq!(wire::decode_envelope(&back.payload).unwrap(), "echo:hi");
+            wire::write_frame(&mut stream, &wire::request(2, "boom")).unwrap();
+            let f = fault_of(&next(&mut reader));
+            assert_eq!(f.code, FaultCode::Server, "{io}");
+            assert!(!f.retryable);
+            server.shutdown().unwrap();
+        }
     }
 
     #[test]
     fn handshake_is_mandatory_and_versioned() {
-        let server = echo_server(ServerConfig::default());
-        // Requests before Hello are rejected.
-        let (mut reader, mut stream) = dial(&server);
-        wire::write_frame(&mut stream, &wire::request(1, "hi")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::BadFrame);
+        for io in MODES {
+            let server = echo_server(mode(io));
+            // Requests before Hello are rejected.
+            let (mut reader, mut stream) = dial(&server);
+            wire::write_frame(&mut stream, &wire::request(1, "hi")).unwrap();
+            assert_eq!(
+                fault_of(&next(&mut reader)).code,
+                FaultCode::BadFrame,
+                "{io}"
+            );
 
-        // Wrong version is rejected with a Version fault.
-        let (mut reader, mut stream) = dial(&server);
-        let mut bad_hello = wire::hello("old-client");
-        bad_hello.payload[4..6].copy_from_slice(&99u16.to_be_bytes());
-        wire::write_frame(&mut stream, &bad_hello).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::Version);
-        server.shutdown().unwrap();
+            // Wrong version is rejected with a Version fault.
+            let (mut reader, mut stream) = dial(&server);
+            let mut bad_hello = wire::hello("old-client");
+            bad_hello.payload[4..6].copy_from_slice(&99u16.to_be_bytes());
+            wire::write_frame(&mut stream, &bad_hello).unwrap();
+            assert_eq!(
+                fault_of(&next(&mut reader)).code,
+                FaultCode::Version,
+                "{io}"
+            );
+            server.shutdown().unwrap();
+        }
     }
 
     #[test]
     fn oversized_frame_gets_too_large_fault() {
-        let server = echo_server(ServerConfig {
-            max_frame: 64,
-            ..ServerConfig::default()
-        });
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        wire::write_frame(&mut stream, &wire::request(1, &"x".repeat(1000))).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::TooLarge);
-        server.shutdown().unwrap();
+        for io in MODES {
+            let server = echo_server(ServerConfig {
+                max_frame: 64,
+                ..mode(io)
+            });
+            let (mut reader, mut stream) = dial(&server);
+            shake(&mut reader, &mut stream);
+            wire::write_frame(&mut stream, &wire::request(1, &"x".repeat(1000))).unwrap();
+            assert_eq!(
+                fault_of(&next(&mut reader)).code,
+                FaultCode::TooLarge,
+                "{io}"
+            );
+            server.shutdown().unwrap();
+        }
     }
 
     #[test]
     fn stalled_writer_gets_timeout_fault() {
-        let server = echo_server(ServerConfig {
-            read_timeout: Duration::from_millis(50),
-            ..ServerConfig::default()
-        });
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        // Send only half a header, then stall.
-        stream.write_all(&[0x03, 0, 0, 0]).unwrap();
-        stream.flush().unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::Timeout);
-        server.shutdown().unwrap();
+        for io in MODES {
+            let server = echo_server(ServerConfig {
+                read_timeout: Duration::from_millis(50),
+                ..mode(io)
+            });
+            let (mut reader, mut stream) = dial(&server);
+            shake(&mut reader, &mut stream);
+            // Send only half a header, then stall.
+            stream.write_all(&[0x03, 0, 0, 0]).unwrap();
+            stream.flush().unwrap();
+            assert_eq!(
+                fault_of(&next(&mut reader)).code,
+                FaultCode::Timeout,
+                "{io}"
+            );
+            server.shutdown().unwrap();
+        }
     }
 
     #[test]
     fn stats_request_returns_metric_snapshot() {
-        let registry = axml_obs::Registry::new();
-        axml_obs::register_catalogue(&registry);
-        let server = echo_server(ServerConfig {
-            metrics: registry.clone(),
-            ..ServerConfig::default()
-        });
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        wire::write_frame(&mut stream, &wire::request(1, "hi")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Response);
-        wire::write_frame(&mut stream, &wire::stats_request(2)).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::StatsResponse);
-        assert_eq!(back.id, 2);
-        let text = wire::decode_envelope(&back.payload).unwrap();
-        let snap = axml_obs::Snapshot::parse_json(&text).unwrap();
-        assert_eq!(snap.counter("server.requests_total"), 1);
-        assert_eq!(snap.counter("server.responses_ok_total"), 1);
-        assert_eq!(snap.counter("server.connections_total"), 1);
-        // Scrapes stay out of the request accounting.
-        assert_eq!(
-            snap.counter("server.requests_total"),
-            snap.counter("server.responses_ok_total") + snap.counter("server.faults_total")
-        );
-        server.shutdown().unwrap();
+        for io in MODES {
+            let registry = axml_obs::Registry::new();
+            axml_obs::register_catalogue(&registry);
+            let server = echo_server(ServerConfig {
+                metrics: registry.clone(),
+                ..mode(io)
+            });
+            let (mut reader, mut stream) = dial(&server);
+            shake(&mut reader, &mut stream);
+            wire::write_frame(&mut stream, &wire::request(1, "hi")).unwrap();
+            assert_eq!(next(&mut reader).kind, FrameType::Response, "{io}");
+            wire::write_frame(&mut stream, &wire::stats_request(2)).unwrap();
+            let back = next(&mut reader);
+            assert_eq!(back.kind, FrameType::StatsResponse, "{io}");
+            assert_eq!(back.id, 2);
+            let text = wire::decode_envelope(&back.payload).unwrap();
+            let snap = axml_obs::Snapshot::parse_json(&text).unwrap();
+            assert_eq!(snap.counter("server.requests_total"), 1, "{io}");
+            assert_eq!(snap.counter("server.responses_ok_total"), 1, "{io}");
+            assert_eq!(snap.counter("server.connections_total"), 1, "{io}");
+            // Scrapes stay out of the request accounting.
+            assert_eq!(
+                snap.counter("server.requests_total"),
+                snap.counter("server.responses_ok_total") + snap.counter("server.faults_total")
+            );
+            server.shutdown().unwrap();
+        }
     }
 
     struct StoreDoc {
@@ -1047,6 +701,22 @@ mod tests {
         }
     }
 
+    /// A `StoreDoc` daemon publishing into a fresh registry.
+    fn store_server(config: ServerConfig) -> (NetServer, Arc<StoreDoc>, axml_obs::Registry) {
+        let registry = axml_obs::Registry::new();
+        axml_obs::register_catalogue(&registry);
+        let handler = Arc::new(StoreDoc {
+            docs: Mutex::new(HashMap::new()),
+        });
+        let config = ServerConfig {
+            metrics: registry.clone(),
+            ..config
+        };
+        let server =
+            NetServer::bind("127.0.0.1:0", Arc::<StoreDoc>::clone(&handler), config).unwrap();
+        (server, handler, registry)
+    }
+
     fn chunk_frames(id: u64, name: &str, data: &[u8], chunk: usize) -> Vec<Frame> {
         let mut digest = axml_support::hash::Fnv64::new();
         let mut frames = vec![wire::doc_chunk_start(id, name)];
@@ -1056,145 +726,175 @@ mod tests {
             frames.push(wire::doc_chunk(id, seq, piece));
             seq += 1;
         }
-        frames.push(wire::doc_chunk_end(id, seq, data.len() as u64, digest.finish()));
+        frames.push(wire::doc_chunk_end(
+            id,
+            seq,
+            data.len() as u64,
+            digest.finish(),
+        ));
         frames
     }
 
     #[test]
     fn chunked_transfer_reaches_document_handler() {
-        let registry = axml_obs::Registry::new();
-        axml_obs::register_catalogue(&registry);
-        let handler = Arc::new(StoreDoc {
-            docs: Mutex::new(HashMap::new()),
-        });
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            Arc::<StoreDoc>::clone(&handler),
-            ServerConfig {
-                metrics: registry.clone(),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let (mut reader, mut stream) = dial(&server);
-        // The Welcome advertises the chunk capability.
-        wire::write_frame(&mut stream, &wire::hello_with("test-client", wire::CAP_CHUNKED))
+        for io in MODES {
+            let (server, handler, registry) = store_server(mode(io));
+            let (mut reader, mut stream) = dial(&server);
+            // The Welcome advertises the chunk capability.
+            wire::write_frame(
+                &mut stream,
+                &wire::hello_with("test-client", wire::CAP_CHUNKED),
+            )
             .unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        let (_, name, caps) = wire::decode_welcome_caps(&back.payload).unwrap();
-        assert_eq!(name, "axml-peer");
-        assert_eq!(caps & wire::CAP_CHUNKED, wire::CAP_CHUNKED);
+            let back = next(&mut reader);
+            let (_, name, caps) = wire::decode_welcome_caps(&back.payload).unwrap();
+            assert_eq!(name, "axml-peer");
+            assert_eq!(caps & wire::CAP_CHUNKED, wire::CAP_CHUNKED, "{io}");
 
-        let doc = "<doc>".repeat(50) + &"</doc>".repeat(50);
-        for f in chunk_frames(7, "big.xml", doc.as_bytes(), 37) {
-            wire::write_frame(&mut stream, &f).unwrap();
+            let doc = "<doc>".repeat(50) + &"</doc>".repeat(50);
+            for f in chunk_frames(7, "big.xml", doc.as_bytes(), 37) {
+                wire::write_frame(&mut stream, &f).unwrap();
+            }
+            let back = next(&mut reader);
+            assert_eq!(back.kind, FrameType::Response, "{io}");
+            assert_eq!(back.id, 7);
+            assert_eq!(
+                wire::decode_envelope(&back.payload).unwrap(),
+                "stored:big.xml"
+            );
+            assert_eq!(handler.docs.lock().get("big.xml"), Some(&doc), "{io}");
+
+            let snap = registry.snapshot();
+            assert!(snap.counter("net.chunk.frames_total") >= 3, "{io}");
+            assert_eq!(
+                snap.counter("net.chunk.bytes_total"),
+                doc.len() as u64,
+                "{io}"
+            );
+            assert_eq!(snap.counter("net.chunk.aborts_total"), 0, "{io}");
+            assert_eq!(snap.gauge("net.chunk.reassembly_bytes"), 0, "{io}");
+            assert_eq!(
+                snap.counter("server.requests_total"),
+                snap.counter("server.responses_ok_total") + snap.counter("server.faults_total")
+            );
+            server.shutdown().unwrap();
         }
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Response);
-        assert_eq!(back.id, 7);
-        assert_eq!(wire::decode_envelope(&back.payload).unwrap(), "stored:big.xml");
-        assert_eq!(handler.docs.lock().get("big.xml"), Some(&doc));
-
-        let snap = registry.snapshot();
-        assert!(snap.counter("net.chunk.frames_total") >= 3);
-        assert_eq!(snap.counter("net.chunk.bytes_total"), doc.len() as u64);
-        assert_eq!(snap.counter("net.chunk.aborts_total"), 0);
-        assert_eq!(snap.gauge("net.chunk.reassembly_bytes"), 0);
-        assert_eq!(
-            snap.counter("server.requests_total"),
-            snap.counter("server.responses_ok_total") + snap.counter("server.faults_total")
-        );
-        server.shutdown().unwrap();
     }
 
     #[test]
     fn chunk_faults_are_typed_and_the_connection_survives() {
-        let registry = axml_obs::Registry::new();
-        axml_obs::register_catalogue(&registry);
-        let handler = Arc::new(StoreDoc {
-            docs: Mutex::new(HashMap::new()),
-        });
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            Arc::<StoreDoc>::clone(&handler),
-            ServerConfig {
-                metrics: registry.clone(),
+        for io in MODES {
+            let (server, _handler, registry) = store_server(ServerConfig {
                 max_doc: 64,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
+                ..mode(io)
+            });
+            let (mut reader, mut stream) = dial(&server);
+            shake(&mut reader, &mut stream);
 
-        // Out-of-sequence chunk: typed BadFrame on the transfer's id.
-        wire::write_frame(&mut stream, &wire::doc_chunk_start(3, "d")).unwrap();
-        wire::write_frame(&mut stream, &wire::doc_chunk(3, 5, b"zz")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        assert_eq!(back.id, 3);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::BadFrame);
-        assert!(f.message.contains("out of sequence"));
+            // Out-of-sequence chunk: typed BadFrame on the transfer's id.
+            wire::write_frame(&mut stream, &wire::doc_chunk_start(3, "d")).unwrap();
+            wire::write_frame(&mut stream, &wire::doc_chunk(3, 5, b"zz")).unwrap();
+            let back = next(&mut reader);
+            assert_eq!(back.id, 3, "{io}");
+            let f = fault_of(&back);
+            assert_eq!(f.code, FaultCode::BadFrame, "{io}");
+            assert!(f.message.contains("out of sequence"));
 
-        // Cumulative cap: TooLarge reports the running total.
-        wire::write_frame(&mut stream, &wire::doc_chunk_start(4, "d")).unwrap();
-        wire::write_frame(&mut stream, &wire::doc_chunk(4, 0, &[b'a'; 40])).unwrap();
-        wire::write_frame(&mut stream, &wire::doc_chunk(4, 1, &[b'b'; 40])).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.id, 4);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::TooLarge);
-        assert!(f.message.contains("80 cumulative bytes"), "{}", f.message);
+            // Cumulative cap: TooLarge reports the running total.
+            wire::write_frame(&mut stream, &wire::doc_chunk_start(4, "d")).unwrap();
+            wire::write_frame(&mut stream, &wire::doc_chunk(4, 0, &[b'a'; 40])).unwrap();
+            wire::write_frame(&mut stream, &wire::doc_chunk(4, 1, &[b'b'; 40])).unwrap();
+            let back = next(&mut reader);
+            assert_eq!(back.id, 4, "{io}");
+            let f = fault_of(&back);
+            assert_eq!(f.code, FaultCode::TooLarge, "{io}");
+            assert!(f.message.contains("80 cumulative bytes"), "{}", f.message);
 
-        // Same connection still serves plain requests and fresh transfers.
-        wire::write_frame(&mut stream, &wire::request(5, "hi")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Response);
-        for f in chunk_frames(6, "ok.xml", b"<ok/>", 2) {
-            wire::write_frame(&mut stream, &f).unwrap();
+            // Same connection still serves plain requests and fresh
+            // transfers.
+            wire::write_frame(&mut stream, &wire::request(5, "hi")).unwrap();
+            assert_eq!(next(&mut reader).kind, FrameType::Response, "{io}");
+            for f in chunk_frames(6, "ok.xml", b"<ok/>", 2) {
+                wire::write_frame(&mut stream, &f).unwrap();
+            }
+            let back = next(&mut reader);
+            assert_eq!(back.kind, FrameType::Response, "{io}");
+            assert_eq!(back.id, 6);
+
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("net.chunk.aborts_total"), 2, "{io}");
+            assert_eq!(snap.gauge("net.chunk.reassembly_bytes"), 0, "{io}");
+            server.shutdown().unwrap();
         }
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Response);
-        assert_eq!(back.id, 6);
-
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("net.chunk.aborts_total"), 2);
-        assert_eq!(snap.gauge("net.chunk.reassembly_bytes"), 0);
-        server.shutdown().unwrap();
     }
 
     #[test]
     fn idle_inside_chunk_transfer_gets_timeout_fault() {
-        let server = echo_server(ServerConfig {
-            read_timeout: Duration::from_millis(50),
-            ..ServerConfig::default()
-        });
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        // Open a transfer, send one whole chunk frame, then go quiet: the
-        // socket is between frames but the transfer is mid-flight.
-        wire::write_frame(&mut stream, &wire::doc_chunk_start(9, "stall")).unwrap();
-        wire::write_frame(&mut stream, &wire::doc_chunk(9, 0, b"abc")).unwrap();
-        let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(back.kind, FrameType::Fault);
-        let f = wire::decode_fault(&back.payload).unwrap();
-        assert_eq!(f.code, FaultCode::Timeout);
-        assert!(f.message.contains("mid-chunk-transfer"));
-        server.shutdown().unwrap();
+        for io in MODES {
+            let server = echo_server(ServerConfig {
+                read_timeout: Duration::from_millis(50),
+                ..mode(io)
+            });
+            let (mut reader, mut stream) = dial(&server);
+            shake(&mut reader, &mut stream);
+            // Open a transfer, send one whole chunk frame, then go quiet:
+            // the socket is between frames but the transfer is mid-flight.
+            wire::write_frame(&mut stream, &wire::doc_chunk_start(9, "stall")).unwrap();
+            wire::write_frame(&mut stream, &wire::doc_chunk(9, 0, b"abc")).unwrap();
+            let f = fault_of(&next(&mut reader));
+            assert_eq!(f.code, FaultCode::Timeout, "{io}");
+            assert!(f.message.contains("mid-chunk-transfer"));
+            server.shutdown().unwrap();
+        }
+    }
+
+    #[test]
+    fn pipelines_requests_from_one_connection() {
+        for io in MODES {
+            let server = echo_server(mode(io));
+            let (mut reader, mut stream) = dial(&server);
+            shake(&mut reader, &mut stream);
+            // Fire a burst without reading, then collect: replies may be
+            // reordered across workers but every id must come back once.
+            for i in 0..16u64 {
+                wire::write_frame(&mut stream, &wire::request(i, &format!("m{i}"))).unwrap();
+            }
+            let mut seen = std::collections::HashSet::new();
+            for _ in 0..16 {
+                let back = next(&mut reader);
+                assert_eq!(back.kind, FrameType::Response, "{io}");
+                assert!(seen.insert(back.id));
+            }
+            server.shutdown().unwrap();
+        }
     }
 
     #[test]
     fn graceful_shutdown_reports_counts() {
-        let server = echo_server(ServerConfig::default());
-        let (mut reader, mut stream) = dial(&server);
-        shake(&mut reader, &mut stream);
-        for i in 0..5 {
-            wire::write_frame(&mut stream, &wire::request(i, "ping")).unwrap();
-            let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-            assert_eq!(back.id, i);
+        let configs = [
+            mode(IoMode::Threads),
+            ServerConfig {
+                shards: 1,
+                ..mode(IoMode::Poll)
+            },
+            ServerConfig {
+                shards: 4,
+                ..mode(IoMode::Poll)
+            },
+        ];
+        for config in configs {
+            let label = format!("{} x{}", config.io, config.shards);
+            let server = echo_server(config);
+            let (mut reader, mut stream) = dial(&server);
+            shake(&mut reader, &mut stream);
+            for i in 0..5 {
+                wire::write_frame(&mut stream, &wire::request(i, "ping")).unwrap();
+                let back = next(&mut reader);
+                assert_eq!(back.id, i, "{label}");
+                assert_eq!(back.kind, FrameType::Response, "{label}");
+            }
+            assert_eq!(server.stats().served.load(Ordering::Relaxed), 5, "{label}");
+            server.shutdown().unwrap();
         }
-        assert_eq!(server.stats().served.load(Ordering::Relaxed), 5);
-        server.shutdown().unwrap();
     }
 }

@@ -1,14 +1,15 @@
-//! Pluggable byte transport under the wire protocol.
+//! Pluggable byte transport under the client side of the wire protocol.
 //!
-//! [`NetClient`](crate::NetClient) and [`NetServer`](crate::NetServer)
-//! move frames over an abstract [`Transport`] — a factory for
-//! bidirectional byte streams ([`Duplex`]) and listeners ([`Acceptor`]) —
-//! instead of touching `std::net` directly. [`TcpTransport`] is the
-//! production implementation and the default behind `NetClient::new` /
-//! `NetServer::bind`; the deterministic simulator (`axml-sim`) supplies
-//! an in-memory transport whose streams deliver exactly the bytes, delays
-//! and failures a seeded fault schedule dictates, so the *same* framing,
-//! handshake, retry and backpressure code paths run under simulation.
+//! [`NetClient`](crate::NetClient) dials through an abstract
+//! [`Transport`] — a factory for bidirectional byte streams ([`Duplex`])
+//! — instead of touching `std::net` directly. [`TcpTransport`] is the
+//! production implementation and the default behind `NetClient::new`;
+//! the deterministic simulator (`axml-sim`) supplies an in-memory
+//! transport whose streams deliver exactly the bytes, delays and failures
+//! a seeded fault schedule dictates, so the *same* framing, handshake,
+//! retry and backoff code paths run under simulation. The layer is
+//! client-only: the daemon ([`NetServer`](crate::NetServer)) listens on
+//! TCP directly, and the simulator models its servers itself.
 //!
 //! Timeout semantics are part of the contract: a read that exceeds the
 //! configured read timeout must fail with an [`std::io::Error`] of kind
@@ -17,15 +18,15 @@
 //! from *stalled mid-frame* by exactly those kinds.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// One bidirectional byte stream (one connection).
 ///
 /// Implementations must support *cloned handles*: [`Duplex::try_clone`]
 /// returns a second handle onto the same stream, so one thread can block
-/// in a read while another writes (the server's reply path) — exactly
-/// `TcpStream::try_clone` semantics.
+/// in a read while another writes — exactly `TcpStream::try_clone`
+/// semantics.
 pub trait Duplex: Read + Write + Send {
     /// Sets the read timeout for subsequent reads on this handle.
     fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()>;
@@ -35,38 +36,12 @@ pub trait Duplex: Read + Write + Send {
 
     /// A second handle onto the same underlying stream.
     fn try_clone(&self) -> io::Result<Box<dyn Duplex>>;
-
-    /// Shuts the stream down in both directions, unblocking any handle
-    /// parked in a read.
-    fn shutdown(&self) -> io::Result<()>;
 }
 
-/// A bound listener handing out [`Duplex`] connections.
-///
-/// `accept` is **non-blocking**: when no connection is pending it returns
-/// an error of kind [`io::ErrorKind::WouldBlock`] and the accept loop
-/// polls (this is how graceful shutdown stays bounded).
-pub trait Acceptor: Send {
-    /// The endpoint this listener is bound to, in the transport's own
-    /// notation (`"127.0.0.1:4321"` for TCP, a peer name for the sim).
-    fn local_endpoint(&self) -> String;
-
-    /// The bound socket address, when the transport is IP-based.
-    fn local_addr(&self) -> Option<SocketAddr> {
-        None
-    }
-
-    /// Accepts one pending connection, or fails with `WouldBlock`.
-    fn accept(&self) -> io::Result<Box<dyn Duplex>>;
-}
-
-/// A connection factory: the client dials through it, the server binds.
+/// A connection factory the client dials through.
 pub trait Transport: Send + Sync {
     /// Dials `endpoint`, bounded by `timeout`.
     fn connect(&self, endpoint: &str, timeout: Duration) -> io::Result<Box<dyn Duplex>>;
-
-    /// Binds a listener on `endpoint`.
-    fn bind(&self, endpoint: &str) -> io::Result<Box<dyn Acceptor>>;
 }
 
 /// The production transport: real TCP sockets.
@@ -87,12 +62,6 @@ impl Transport for TcpTransport {
         let stream = TcpStream::connect_timeout(&resolve(endpoint)?, timeout)?;
         Ok(Box::new(stream))
     }
-
-    fn bind(&self, endpoint: &str) -> io::Result<Box<dyn Acceptor>> {
-        let listener = TcpListener::bind(endpoint)?;
-        listener.set_nonblocking(true)?;
-        Ok(Box::new(TcpAcceptor { listener }))
-    }
 }
 
 impl Duplex for TcpStream {
@@ -107,63 +76,21 @@ impl Duplex for TcpStream {
     fn try_clone(&self) -> io::Result<Box<dyn Duplex>> {
         Ok(Box::new(TcpStream::try_clone(self)?))
     }
-
-    fn shutdown(&self) -> io::Result<()> {
-        TcpStream::shutdown(self, Shutdown::Both)
-    }
-}
-
-/// A non-blocking [`TcpListener`] as an [`Acceptor`].
-pub struct TcpAcceptor {
-    listener: TcpListener,
-}
-
-impl Acceptor for TcpAcceptor {
-    fn local_endpoint(&self) -> String {
-        self.listener
-            .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "tcp:unbound".to_owned())
-    }
-
-    fn local_addr(&self) -> Option<SocketAddr> {
-        self.listener.local_addr().ok()
-    }
-
-    fn accept(&self) -> io::Result<Box<dyn Duplex>> {
-        let (stream, _peer) = self.listener.accept()?;
-        Ok(Box::new(stream))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn tcp_transport_round_trips_bytes() {
-        let transport = TcpTransport;
-        let acceptor = transport.bind("127.0.0.1:0").unwrap();
-        let endpoint = acceptor.local_endpoint();
-        assert!(acceptor.local_addr().is_some());
-        // Nothing pending yet: the acceptor must not block.
-        match acceptor.accept() {
-            Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
-            Ok(_) => panic!("accept succeeded with nothing pending"),
-        }
-
-        let mut dialed = transport
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = listener.local_addr().unwrap().to_string();
+        let mut dialed = TcpTransport
             .connect(&endpoint, Duration::from_secs(2))
             .unwrap();
-        let mut accepted = loop {
-            match acceptor.accept() {
-                Ok(s) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => panic!("accept failed: {e}"),
-            }
-        };
+        let (mut accepted, _) = listener.accept().unwrap();
         dialed.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
         accepted.read_exact(&mut buf).unwrap();
@@ -178,10 +105,10 @@ mod tests {
 
     #[test]
     fn timed_out_reads_report_wouldblock_or_timedout() {
-        let transport = TcpTransport;
-        let acceptor = transport.bind("127.0.0.1:0").unwrap();
-        let dialed = transport
-            .connect(&acceptor.local_endpoint(), Duration::from_secs(2))
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = listener.local_addr().unwrap().to_string();
+        let dialed = TcpTransport
+            .connect(&endpoint, Duration::from_secs(2))
             .unwrap();
         dialed
             .set_read_timeout(Some(Duration::from_millis(20)))

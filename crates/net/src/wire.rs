@@ -160,7 +160,8 @@ pub enum FaultCode {
     Client,
     /// The server failed to process a well-formed request.
     Server,
-    /// The server's in-flight request queue is full; try again later.
+    /// The server has no room for another in-flight request; try again
+    /// later.
     Busy,
     /// The peer timed out mid-frame.
     Timeout,

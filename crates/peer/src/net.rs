@@ -25,10 +25,7 @@ use axml_core::invoke::{InvokeError, Invoker};
 use axml_core::rewrite::RewriteReport;
 use axml_core::stream::{enforce_stream_to, StreamOptions, StreamReport};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
-use axml_net::{
-    ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig, ServerStats, Transport,
-};
-use axml_support::clock::Clock;
+use axml_net::{ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig, ServerStats};
 use axml_schema::{validate, validate_output_instance, Compiled, ITree};
 use axml_services::soap;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -93,29 +90,9 @@ impl NetPeer {
         Ok(NetPeer { peer, server })
     }
 
-    /// Like [`NetPeer::serve`], but over an explicit [`Transport`] and
-    /// [`Clock`] — how tests serve a peer on an in-memory network.
-    pub fn serve_with(
-        peer: Arc<Peer>,
-        net: &dyn Transport,
-        endpoint: &str,
-        clock: Arc<dyn Clock>,
-        config: ServerConfig,
-    ) -> Result<NetPeer, PeerError> {
-        let handler = envelope_handler(Arc::clone(&peer));
-        let server =
-            NetServer::bind_with(net, endpoint, clock, handler, config).map_err(transport)?;
-        Ok(NetPeer { peer, server })
-    }
-
     /// The daemon's bound socket address.
     pub fn local_addr(&self) -> SocketAddr {
         self.server.local_addr()
-    }
-
-    /// The daemon's bound endpoint, in the transport's notation.
-    pub fn endpoint(&self) -> &str {
-        self.server.endpoint()
     }
 
     /// The peer being served.

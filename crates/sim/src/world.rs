@@ -40,7 +40,7 @@
 //! horizon: a scenario that would hang trips a panic carrying the event
 //! log instead of wedging the test run.
 
-use axml_net::transport::{Acceptor, Duplex, Transport};
+use axml_net::transport::{Duplex, Transport};
 use axml_net::wire::{self, FaultCode, Frame, FrameType, WireError, WireFault};
 use axml_net::{ChunkAssembler, ChunkProgress, Handler};
 use axml_support::clock::Clock;
@@ -1276,15 +1276,6 @@ impl Transport for SimTransport {
             read_timeout: Mutex::new(Some(Duration::from_secs(5))),
         }))
     }
-
-    fn bind(&self, endpoint: &str) -> io::Result<Box<dyn Acceptor>> {
-        // The sim's servers are event-driven actors, not accept loops:
-        // register them with SimWorld::listen instead.
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            format!("sim transport has no acceptor; register {endpoint} via SimWorld::listen"),
-        ))
-    }
 }
 
 /// The client side of one simulated connection.
@@ -1412,19 +1403,5 @@ impl Duplex for SimDuplex {
             conn: self.conn,
             read_timeout: Mutex::new(*self.read_timeout.lock()),
         }))
-    }
-
-    fn shutdown(&self) -> io::Result<()> {
-        let mut st = self.world.state.lock();
-        let server = if let Some(conn) = st.conns.get_mut(&self.conn) {
-            conn.state = ConnState::Closed;
-            conn.server.clone()
-        } else {
-            return Ok(());
-        };
-        if let Some(server) = st.servers.get_mut(&server) {
-            server.drop_conn(self.conn);
-        }
-        Ok(())
     }
 }

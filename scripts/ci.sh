@@ -267,8 +267,10 @@ cat > "$obs_dir/prog.xml" <<'XML'
 <r><exhibit><title>Monet</title><int:fun xmlns:int="http://www.activexml.com/ns/int" methodName="Get_Date"><int:params><int:param><title>Monet</title></int:param></int:params></int:fun></exhibit></r>
 XML
 store_dir="$obs_dir/warm"
+# `exec`: a backgrounded function runs in a subshell, so without it `$!`
+# names the subshell and killing it leaves the daemon running.
 serve_store() {
-    "$axml_bin" serve "$obs_dir/sched.schema" 127.0.0.1:0 --name store-gate \
+    exec "$axml_bin" serve "$obs_dir/sched.schema" 127.0.0.1:0 --name store-gate \
         --doc program="$obs_dir/prog.xml" --export Get_Program=program \
         --builtin-services --store-dir "$store_dir" "$@"
 }
@@ -446,7 +448,8 @@ echo "== tier-1: chunking gate (wire parity + fuzz + 4x-cap ship, DESIGN.md §14
 # all run under one wall-clock budget.
 chunk_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline --test chunk_parity
-timeout --kill-after=10 60 cargo test -q --offline --test poller_frames \
+# Test-name filters go after `--`: cargo itself takes only one.
+timeout --kill-after=10 60 cargo test -q --offline --test poller_frames -- \
     seeded_chunk_fuzz_taxonomy_matches_across_readers \
     chunk_corruption_messages_are_pinned
 chunk_elapsed=$(( $(date +%s) - chunk_started ))

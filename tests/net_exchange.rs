@@ -8,13 +8,18 @@
 //! two engines apart.
 //!
 //! Scenarios: concurrent clients, raw protocol faults (oversized frame,
-//! malformed envelope, bad frame type, mid-frame stall, handshake
-//! violations), queue-saturation Busy backpressure, the paper's Fig. 1
-//! three-party newspaper exchange, and span correlation for clean and
-//! failed exchanges.
+//! malformed envelope, bad frame type, second Hello, mid-frame stall and
+//! EOF, mid-chunk stall, non-UTF-8 chunked document, silent and faulted
+//! handshake violations) with the daemon's metric snapshot compared too,
+//! queue-saturation Busy backpressure, the paper's Fig. 1 three-party
+//! newspaper exchange, and span correlation for clean and failed
+//! exchanges.
 
-use axml::net::{wire, ClientConfig, IoMode, NetClient, NetServer, ServerConfig};
-use axml::obs::{install_sink, uninstall_sink, RingSink, SpanRecord, SpanSink};
+use axml::net::{wire, ClientConfig, IoMode, NetClient, NetServer, ServerConfig, WireError};
+use axml::obs::{
+    install_sink, uninstall_sink, Registry as MetricRegistry, RingSink, Snapshot, SpanRecord,
+    SpanSink,
+};
 use axml::peer::{InboundPolicy, NetInvoker, NetPeer, Peer, Query, RemotePeer};
 use axml::schema::{validate, Compiled, ITree, NoOracle, Schema};
 use axml::services::{Registry, ServiceDef};
@@ -190,27 +195,51 @@ fn matrix_concurrent_clients_share_one_daemon() {
 // Scenario: raw protocol faults, compared frame-for-frame.
 // ---------------------------------------------------------------------
 
+/// One labelled server reply: a frame, or how the read ended when the
+/// server closed instead of answering.
+type Reply = (&'static str, Result<wire::Frame, WireError>);
+
+/// The kind and id of a follow-up stats scrape, which prove the
+/// connection stayed up. Snapshot *values* legitimately differ across
+/// engines (the poll gauges), so the payload is dropped.
+fn scrape_header(
+    reader: &mut BufReader<TcpStream>,
+    stream: &mut TcpStream,
+    id: u64,
+) -> wire::Frame {
+    wire::write_frame(stream, &wire::stats_request(id)).unwrap();
+    let stats = wire::read_frame(reader, wire::DEFAULT_MAX_FRAME).unwrap();
+    wire::Frame {
+        kind: stats.kind,
+        id: stats.id,
+        payload: Vec::new(),
+    }
+}
+
 /// Drives every protocol-fault path over a raw socket and returns each
-/// reply frame, labelled. The whole vector must be byte-identical
-/// across engines.
-fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
+/// reply, labelled, plus the daemon's metric snapshot after shutdown.
+/// Both must be identical across engines (minus the `server.poll.*`
+/// gauges only the poll engine publishes).
+fn protocol_fault_outcome(io: IoMode) -> (Vec<Reply>, Snapshot) {
+    let metrics = MetricRegistry::new();
+    axml::obs::register_catalogue(&metrics);
     let daemon = provider_daemon(ServerConfig {
         max_frame: 256,
         read_timeout: Duration::from_millis(100),
+        metrics: metrics.clone(),
         ..mode_config(io)
     });
     let addr = daemon.local_addr();
-    let mut out = Vec::new();
+    let mut out: Vec<Reply> = Vec::new();
+    let read =
+        |reader: &mut BufReader<TcpStream>| wire::read_frame(reader, wire::DEFAULT_MAX_FRAME);
 
     // Oversized frame: rejected before allocation, connection closed.
     {
         let (mut reader, mut stream) = dial(addr);
         shake(&mut reader, &mut stream);
         wire::write_frame(&mut stream, &wire::request(1, &"x".repeat(1000))).unwrap();
-        out.push((
-            "oversized",
-            wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
-        ));
+        out.push(("oversized", read(&mut reader)));
     }
     // Malformed envelope (invalid UTF-8): typed Client fault, and the
     // connection survives — prove it with a follow-up stats scrape.
@@ -223,22 +252,9 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
             payload: vec![0xff, 0xfe, 0x01],
         };
         wire::write_frame(&mut stream, &bad).unwrap();
-        out.push((
-            "malformed-envelope",
-            wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
-        ));
-        wire::write_frame(&mut stream, &wire::stats_request(8)).unwrap();
-        let stats = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        // Snapshot *values* legitimately differ across engines (the poll
-        // gauges); the frame kind + id prove the connection stayed up.
-        out.push((
-            "conn-survives-malformed",
-            wire::Frame {
-                kind: stats.kind,
-                id: stats.id,
-                payload: Vec::new(),
-            },
-        ));
+        out.push(("malformed-envelope", read(&mut reader)));
+        let scrape = scrape_header(&mut reader, &mut stream, 8);
+        out.push(("conn-survives-malformed", Ok(scrape)));
     }
     // Wrong frame type after handshake: BadFrame, connection survives.
     {
@@ -250,10 +266,15 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
             payload: b"nope".to_vec(),
         };
         wire::write_frame(&mut stream, &rogue).unwrap();
-        out.push((
-            "rogue-frame-type",
-            wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
-        ));
+        out.push(("rogue-frame-type", read(&mut reader)));
+    }
+    // A second Hello after the handshake is just another non-Request
+    // frame: BadFrame, not a second Welcome.
+    {
+        let (mut reader, mut stream) = dial(addr);
+        shake(&mut reader, &mut stream);
+        wire::write_frame(&mut stream, &wire::hello("matrix-client")).unwrap();
+        out.push(("second-hello", read(&mut reader)));
     }
     // Mid-frame stall: half a header then silence → Timeout fault.
     {
@@ -261,10 +282,17 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
         shake(&mut reader, &mut stream);
         stream.write_all(&[0x03, 0, 0, 0]).unwrap();
         stream.flush().unwrap();
-        out.push((
-            "mid-frame-stall",
-            wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
-        ));
+        out.push(("mid-frame-stall", read(&mut reader)));
+    }
+    // Mid-frame EOF: half a header then a write half-close → BadFrame
+    // naming the truncation (the reply still reaches the half-open
+    // socket).
+    {
+        let (mut reader, mut stream) = dial(addr);
+        shake(&mut reader, &mut stream);
+        stream.write_all(&[0x03, 0, 0, 0]).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        out.push(("eof-mid-frame", read(&mut reader)));
     }
     // Mid-chunk stall: a transfer opens, one chunk lands, then silence
     // *between* frames — the inbox is empty, but the open transfer makes
@@ -275,19 +303,34 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
         wire::write_frame(&mut stream, &wire::doc_chunk_start(11, "stall.xml")).unwrap();
         wire::write_frame(&mut stream, &wire::doc_chunk(11, 0, b"<newspaper>")).unwrap();
         stream.flush().unwrap();
-        out.push((
-            "mid-chunk-stall",
-            wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
-        ));
+        out.push(("mid-chunk-stall", read(&mut reader)));
+    }
+    // A chunked document that reassembles and verifies but is not UTF-8:
+    // Client fault on the transfer's id, and the connection survives.
+    {
+        let (mut reader, mut stream) = dial(addr);
+        shake(&mut reader, &mut stream);
+        let doc = [0xffu8, 0xfe, 0x00];
+        let mut digest = axml_support::hash::Fnv64::new();
+        digest.update(&doc);
+        wire::write_frame(&mut stream, &wire::doc_chunk_start(12, "latin1.xml")).unwrap();
+        wire::write_frame(&mut stream, &wire::doc_chunk(12, 0, &doc)).unwrap();
+        let end = wire::doc_chunk_end(12, 1, doc.len() as u64, digest.finish());
+        wire::write_frame(&mut stream, &end).unwrap();
+        out.push(("non-utf8-chunked-doc", read(&mut reader)));
+        let scrape = scrape_header(&mut reader, &mut stream, 13);
+        out.push(("conn-survives-non-utf8", Ok(scrape)));
+    }
+    // Never says Hello: dropped silently once the read timeout passes.
+    {
+        let (mut reader, _stream) = dial(addr);
+        out.push(("unhandshaken-idle", read(&mut reader)));
     }
     // Handshake violation: a Request before Hello.
     {
         let (mut reader, mut stream) = dial(addr);
         wire::write_frame(&mut stream, &wire::request(4, "<env/>")).unwrap();
-        out.push((
-            "request-before-hello",
-            wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
-        ));
+        out.push(("request-before-hello", read(&mut reader)));
     }
     // Version mismatch in the Hello.
     {
@@ -295,63 +338,83 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
         let mut old = wire::hello("old-client");
         old.payload[4..6].copy_from_slice(&99u16.to_be_bytes());
         wire::write_frame(&mut stream, &old).unwrap();
-        out.push((
-            "version-mismatch",
-            wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
-        ));
+        out.push(("version-mismatch", read(&mut reader)));
     }
 
+    // Shutdown joins every connection, so teardown accounting (chunk
+    // aborts, gauge releases) has settled before the snapshot.
     daemon.shutdown().unwrap();
-    out
+    let mut snapshot = metrics.snapshot();
+    snapshot
+        .gauges
+        .retain(|name, _| !name.starts_with("server.poll."));
+    (out, snapshot)
 }
 
 #[test]
 fn matrix_protocol_faults_are_byte_identical() {
-    let threads = protocol_fault_outcome(IoMode::Threads);
-    let poll = protocol_fault_outcome(IoMode::Poll);
+    let (threads, threads_metrics) = protocol_fault_outcome(IoMode::Threads);
+    let (poll, poll_metrics) = protocol_fault_outcome(IoMode::Poll);
     assert_eq!(
         threads, poll,
         "every fault frame must be byte-identical across engines"
     );
+    assert_eq!(
+        threads_metrics, poll_metrics,
+        "the daemon must account every case identically across engines"
+    );
     // Taxonomy spot-checks (on the threads run; poll is equal by now).
-    let fault_code = |label: &str| {
-        let frame = &threads.iter().find(|(l, _)| *l == label).unwrap().1;
+    let reply = |label: &str| {
+        let found = threads.iter().find(|(l, _)| *l == label);
+        found.unwrap().1.clone()
+    };
+    let fault = |label: &str| {
+        let frame = reply(label).unwrap_or_else(|e| panic!("{label}: {e}"));
         assert_eq!(frame.kind, wire::FrameType::Fault, "{label}");
         wire::decode_fault(&frame.payload).unwrap()
     };
-    assert_eq!(fault_code("oversized").code, axml::net::FaultCode::TooLarge);
-    assert_eq!(
-        fault_code("malformed-envelope").code,
-        axml::net::FaultCode::Client
+    use axml::net::FaultCode;
+    assert_eq!(fault("oversized").code, FaultCode::TooLarge);
+    assert_eq!(fault("malformed-envelope").code, FaultCode::Client);
+    assert_eq!(fault("rogue-frame-type").code, FaultCode::BadFrame);
+    let second = fault("second-hello");
+    assert_eq!(second.code, FaultCode::BadFrame);
+    assert_eq!(second.message, "expected a Request frame");
+    assert_eq!(fault("mid-frame-stall").code, FaultCode::Timeout);
+    let eof = fault("eof-mid-frame");
+    assert_eq!(eof.code, FaultCode::BadFrame);
+    assert!(
+        eof.message.contains("connection closed mid-frame"),
+        "the fault must name the truncation: {}",
+        eof.message
     );
-    assert_eq!(
-        fault_code("rogue-frame-type").code,
-        axml::net::FaultCode::BadFrame
-    );
-    assert_eq!(
-        fault_code("mid-frame-stall").code,
-        axml::net::FaultCode::Timeout
-    );
-    let chunk_stall = fault_code("mid-chunk-stall");
-    assert_eq!(chunk_stall.code, axml::net::FaultCode::Timeout);
+    let chunk_stall = fault("mid-chunk-stall");
+    assert_eq!(chunk_stall.code, FaultCode::Timeout);
     assert!(
         chunk_stall.message.contains("mid-chunk-transfer"),
         "the stall must name the open transfer: {}",
         chunk_stall.message
     );
-    assert_eq!(
-        fault_code("request-before-hello").code,
-        axml::net::FaultCode::BadFrame
-    );
-    assert_eq!(
-        fault_code("version-mismatch").code,
-        axml::net::FaultCode::Version
-    );
-    let survives = threads
-        .iter()
-        .find(|(l, _)| *l == "conn-survives-malformed")
-        .unwrap();
-    assert_eq!(survives.1.kind, wire::FrameType::StatsResponse);
+    let latin1 = fault("non-utf8-chunked-doc");
+    assert_eq!(latin1.code, FaultCode::Client);
+    assert_eq!(latin1.message, "chunked document is not UTF-8");
+    assert_eq!(reply("unhandshaken-idle"), Err(WireError::Closed));
+    assert_eq!(fault("request-before-hello").code, FaultCode::BadFrame);
+    assert_eq!(fault("version-mismatch").code, FaultCode::Version);
+    for label in ["conn-survives-malformed", "conn-survives-non-utf8"] {
+        assert_eq!(
+            reply(label).unwrap().kind,
+            wire::FrameType::StatsResponse,
+            "{label}"
+        );
+    }
+    // Handshake refusals are not requests; every other fault is one.
+    let counters = &threads_metrics.counters;
+    assert_eq!(counters["server.faults_total"], 8);
+    assert_eq!(counters["server.requests_total"], 8);
+    assert_eq!(counters["server.connections_total"], 11);
+    assert_eq!(counters["net.chunk.aborts_total"], 2);
+    assert_eq!(threads_metrics.gauges["net.chunk.reassembly_bytes"], 0);
 }
 
 // ---------------------------------------------------------------------
