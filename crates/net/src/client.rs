@@ -29,7 +29,7 @@
 use crate::transport::{Duplex, TcpTransport, Transport};
 use crate::wire::{self, FrameType, WireError, WireFault};
 use axml_support::clock::Clock;
-use axml_support::hash::Fnv64;
+use axml_support::hash::Xxh64;
 use axml_support::rng::{RngExt, SeedableRng, StdRng};
 use axml_support::sync::Mutex;
 use std::io::BufReader;
@@ -401,15 +401,7 @@ impl NetClient {
         wire::write_frame(&mut conn.writer, &wire::doc_chunk_start(id, name))
             .map_err(ClientError::Wire)?;
         let (count, total, digest) = {
-            let mut sink = ChunkSink {
-                writer: &mut conn.writer,
-                id,
-                chunk,
-                buf: Vec::new(),
-                seq: 0,
-                total: 0,
-                digest: Fnv64::new(),
-            };
+            let mut sink = ChunkSink::new(&mut conn.writer, id, chunk);
             // A mid-stream producer failure leaves the transfer half-sent;
             // the connection is dropped (never pooled), which the server
             // accounts as an abort. The retry loop re-dials and re-invokes
@@ -608,23 +600,51 @@ impl NetClient {
 
 /// An [`std::io::Write`] that cuts its input into `DocChunk` frames as
 /// bytes arrive, tracking the sequence number, cumulative length, and
-/// running FNV-64 digest the closing `DocChunkEnd` must declare. Holds at
-/// most one chunk of data at a time.
-struct ChunkSink<'a> {
-    writer: &'a mut Box<dyn Duplex>,
+/// running XXH64 digest the closing `DocChunkEnd` must declare.
+///
+/// Data is gathered straight into one reused frame buffer behind room
+/// for the header and sequence number, which are filled in just before
+/// the frame goes out. Each input byte is copied once, however the
+/// producer sizes its writes, and at most one chunk is held at a time.
+struct ChunkSink<W> {
+    writer: W,
     id: u64,
     chunk: usize,
-    buf: Vec<u8>,
+    /// The next `DocChunk` frame: [`wire::CHUNK_PREFIX_LEN`] bytes of
+    /// prefix, then up to `chunk` bytes of data.
+    frame: Vec<u8>,
     seq: u32,
     total: u64,
-    digest: Fnv64,
+    digest: Xxh64,
 }
 
-impl ChunkSink<'_> {
-    fn emit(&mut self, piece: &[u8]) -> Result<(), WireError> {
-        self.digest.update(piece);
-        self.total += piece.len() as u64;
-        wire::write_frame(self.writer, &wire::doc_chunk(self.id, self.seq, piece))?;
+impl<W: std::io::Write> ChunkSink<W> {
+    fn new(writer: W, id: u64, chunk: usize) -> Self {
+        ChunkSink {
+            writer,
+            id,
+            chunk,
+            frame: vec![0; wire::CHUNK_PREFIX_LEN],
+            seq: 0,
+            total: 0,
+            digest: Xxh64::new(),
+        }
+    }
+
+    fn pending(&self) -> usize {
+        self.frame.len() - wire::CHUNK_PREFIX_LEN
+    }
+
+    /// Sends the gathered data as the next `DocChunk` frame, in a single
+    /// write like [`wire::write_frame`].
+    fn emit(&mut self) -> Result<(), WireError> {
+        let data = &self.frame[wire::CHUNK_PREFIX_LEN..];
+        self.digest.update(data);
+        self.total += data.len() as u64;
+        wire::encode_chunk_prefix(&mut self.frame, self.id, self.seq)?;
+        self.writer.write_all(&self.frame)?;
+        self.writer.flush()?;
+        self.frame.truncate(wire::CHUNK_PREFIX_LEN);
         self.seq += 1;
         Ok(())
     }
@@ -632,22 +652,24 @@ impl ChunkSink<'_> {
     /// Flushes the final partial chunk and returns what `DocChunkEnd`
     /// must carry: `(count, total bytes, digest)`.
     fn finish(mut self) -> Result<(u32, u64, u64), WireError> {
-        if !self.buf.is_empty() {
-            let piece = std::mem::take(&mut self.buf);
-            self.emit(&piece)?;
+        if self.pending() > 0 {
+            self.emit()?;
         }
         Ok((self.seq, self.total, self.digest.finish()))
     }
 }
 
-impl std::io::Write for ChunkSink<'_> {
+impl<W: std::io::Write> std::io::Write for ChunkSink<W> {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        while self.buf.len() >= self.chunk {
-            let rest = self.buf.split_off(self.chunk);
-            let piece = std::mem::replace(&mut self.buf, rest);
-            self.emit(&piece)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::Other, e.to_string()))?;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let take = (self.chunk - self.pending()).min(rest.len());
+            self.frame.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            if self.pending() == self.chunk {
+                self.emit()
+                    .map_err(|e| std::io::Error::other(e.to_string()))?;
+            }
         }
         Ok(data.len())
     }
@@ -833,6 +855,51 @@ mod tests {
         assert_eq!(reply, format!("got:news.xml:{}", doc.len()));
         assert_eq!(client.pooled(), 1, "the transfer connection was pooled back");
         server.shutdown().unwrap();
+    }
+
+    /// Runs a `ChunkSink` fed by `write` and returns the bytes it put on
+    /// the wire, followed by the End frame declaring what it counted.
+    fn sink_output(
+        chunk: usize,
+        write: impl Fn(&mut ChunkSink<&mut Vec<u8>>) -> std::io::Result<()>,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut sink = ChunkSink::new(&mut out, 9, chunk);
+        write(&mut sink).unwrap();
+        assert!(sink.pending() < chunk, "more than one chunk held");
+        let (count, total, digest) = sink.finish().unwrap();
+        wire::write_frame(&mut out, &wire::doc_chunk_end(9, count, total, digest)).unwrap();
+        out
+    }
+
+    #[test]
+    fn chunk_sink_frames_do_not_depend_on_write_sizes() {
+        use std::io::Write;
+        // Two full 256 KiB chunks and a partial one.
+        let doc: Vec<u8> = (0..(512u32 << 10) + 1000)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        for chunk in [1usize, 7, 256 << 10] {
+            // The same bytes in one write and in 1-byte writes...
+            let whole = sink_output(chunk, |sink| sink.write_all(&doc));
+            let bytewise = sink_output(chunk, |sink| {
+                doc.iter()
+                    .try_for_each(|b| sink.write_all(std::slice::from_ref(b)))
+            });
+            assert!(
+                whole == bytewise,
+                "chunk {chunk}: write sizes changed the frames"
+            );
+            // ...both equal to the reference transfer, minus its Start.
+            let mut expected = Vec::new();
+            for f in &wire::chunk_transfer(9, "d", &doc, chunk)[1..] {
+                wire::write_frame(&mut expected, f).unwrap();
+            }
+            assert!(
+                whole == expected,
+                "chunk {chunk}: frames differ from chunk_transfer"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! scratch back to the allocator.
 
 use crate::wire::{self, Frame, FrameType, WireError, HEADER_LEN};
-use axml_support::hash::Fnv64;
+use axml_support::hash::Xxh64;
 
 /// Buffer capacity above which an *empty* decoder gives memory back.
 /// Idle connections (the 10k-scale case) should cost tens of bytes, not
@@ -148,7 +148,7 @@ struct Transfer {
     name: String,
     next_seq: u32,
     buf: Vec<u8>,
-    digest: Fnv64,
+    digest: Xxh64,
 }
 
 /// What [`ChunkAssembler::accept`] did with a chunk frame.
@@ -184,7 +184,7 @@ pub enum ChunkProgress {
 ///   [`WireError::TooLarge`] reports the running total, not the size of
 ///   the frame that crossed the line;
 /// * `DocChunkEnd` must match the observed chunk count, total byte
-///   length, and running FNV-64 digest.
+///   length, and running XXH64 digest.
 ///
 /// After an error the failed transfer's buffer is released immediately
 /// and the assembler enters a **drain** state for that request id:
@@ -267,7 +267,7 @@ impl ChunkAssembler {
                     name,
                     next_seq: 0,
                     buf: Vec::new(),
-                    digest: Fnv64::new(),
+                    digest: Xxh64::new(),
                 });
                 Ok(ChunkProgress::Pending)
             }
@@ -473,25 +473,12 @@ mod tests {
         );
     }
 
-    fn chunk_frames_for(id: u64, name: &str, data: &[u8], chunk: usize) -> Vec<Frame> {
-        let mut frames = vec![wire::doc_chunk_start(id, name)];
-        let mut digest = Fnv64::new();
-        let mut seq = 0u32;
-        for piece in data.chunks(chunk.max(1)) {
-            digest.update(piece);
-            frames.push(wire::doc_chunk(id, seq, piece));
-            seq += 1;
-        }
-        frames.push(wire::doc_chunk_end(id, seq, data.len() as u64, digest.finish()));
-        frames
-    }
-
     #[test]
     fn assembler_roundtrips_and_verifies_digest() {
         let data = b"<doc>intensional</doc>".to_vec();
         for chunk in [1usize, 3, 7, 64] {
             let mut asm = ChunkAssembler::new(1024);
-            let frames = chunk_frames_for(9, "fig1.xml", &data, chunk);
+            let frames = wire::chunk_transfer(9, "fig1.xml", &data, chunk);
             let last = frames.len() - 1;
             for (i, f) in frames.iter().enumerate() {
                 let progress = asm.accept(f).unwrap();
@@ -533,7 +520,7 @@ mod tests {
             ChunkProgress::Drained
         );
         // After the drained End, the same id can retry cleanly.
-        for f in chunk_frames_for(4, "d", b"aabb", 2) {
+        for f in wire::chunk_transfer(4, "d", b"aabb", 2) {
             asm.accept(&f).unwrap();
         }
     }
@@ -545,7 +532,7 @@ mod tests {
         let _ = asm.accept(&wire::doc_chunk(4, 5, b"x")).unwrap_err();
         // Retry with the *same* request id, Start first: must not be
         // swallowed by the drain state.
-        let frames = chunk_frames_for(4, "d", b"payload", 3);
+        let frames = wire::chunk_transfer(4, "d", b"payload", 3);
         let last = frames.len() - 1;
         for (i, f) in frames.iter().enumerate() {
             let p = asm.accept(f).unwrap();
@@ -570,11 +557,8 @@ mod tests {
     #[test]
     fn assembler_rejects_bad_digest_count_and_total() {
         let data = b"abcdef";
-        let digest = {
-            let mut d = Fnv64::new();
-            d.update(data);
-            d.finish()
-        };
+        let end = wire::chunk_transfer(2, "d", data, 3).pop().unwrap();
+        let (_, _, digest) = wire::decode_chunk_end(&end.payload).unwrap();
         let cases: [(Frame, &str); 3] = [
             (wire::doc_chunk_end(2, 3, 6, digest), "chunks"),
             (wire::doc_chunk_end(2, 2, 7, digest), "bytes"),

@@ -717,24 +717,6 @@ mod tests {
         (server, handler, registry)
     }
 
-    fn chunk_frames(id: u64, name: &str, data: &[u8], chunk: usize) -> Vec<Frame> {
-        let mut digest = axml_support::hash::Fnv64::new();
-        let mut frames = vec![wire::doc_chunk_start(id, name)];
-        let mut seq = 0u32;
-        for piece in data.chunks(chunk) {
-            digest.update(piece);
-            frames.push(wire::doc_chunk(id, seq, piece));
-            seq += 1;
-        }
-        frames.push(wire::doc_chunk_end(
-            id,
-            seq,
-            data.len() as u64,
-            digest.finish(),
-        ));
-        frames
-    }
-
     #[test]
     fn chunked_transfer_reaches_document_handler() {
         for io in MODES {
@@ -752,7 +734,7 @@ mod tests {
             assert_eq!(caps & wire::CAP_CHUNKED, wire::CAP_CHUNKED, "{io}");
 
             let doc = "<doc>".repeat(50) + &"</doc>".repeat(50);
-            for f in chunk_frames(7, "big.xml", doc.as_bytes(), 37) {
+            for f in wire::chunk_transfer(7, "big.xml", doc.as_bytes(), 37) {
                 wire::write_frame(&mut stream, &f).unwrap();
             }
             let back = next(&mut reader);
@@ -814,7 +796,7 @@ mod tests {
             // transfers.
             wire::write_frame(&mut stream, &wire::request(5, "hi")).unwrap();
             assert_eq!(next(&mut reader).kind, FrameType::Response, "{io}");
-            for f in chunk_frames(6, "ok.xml", b"<ok/>", 2) {
+            for f in wire::chunk_transfer(6, "ok.xml", b"<ok/>", 2) {
                 wire::write_frame(&mut stream, &f).unwrap();
             }
             let back = next(&mut reader);

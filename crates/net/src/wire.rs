@@ -23,7 +23,7 @@
 //! | 0x07 | `StatsResponse` | a JSON metric snapshot (`axml-obs` format)  |
 //! | 0x08 | `DocChunkStart` | name len (u16 BE) + document name (UTF-8)   |
 //! | 0x09 | `DocChunk`      | sequence number (u32 BE) + raw chunk bytes  |
-//! | 0x0A | `DocChunkEnd`   | chunk count (u32 BE) + total bytes (u64 BE) + FNV-64 digest (u64 BE) |
+//! | 0x0A | `DocChunkEnd`   | chunk count (u32 BE) + total bytes (u64 BE) + XXH64 digest (u64 BE) |
 //!
 //! A connection opens with a versioned handshake: the client sends
 //! `Hello` (request id 0); the server answers `Welcome`, or a `Fault`
@@ -45,10 +45,10 @@
 //! **Chunked transfers.** A document too large for one `Request` frame
 //! travels as `DocChunkStart`, then `DocChunk` frames with consecutive
 //! sequence numbers starting at 0, then `DocChunkEnd` carrying the chunk
-//! count, cumulative byte length, and a running FNV-64 digest of the
-//! chunk bytes. All frames of one transfer carry the same request id, and
-//! the transfer is answered by exactly one `Response` or `Fault` like a
-//! plain `Request`. Reassembly rules live in
+//! count, cumulative byte length, and a running XXH64 digest (seed 0,
+//! [`axml_support::hash::Xxh64`]) of the chunk bytes. All frames of one
+//! transfer carry the same request id, and the transfer is answered by
+//! exactly one `Response` or `Fault` like a plain `Request`. Reassembly rules live in
 //! [`ChunkAssembler`](crate::frames::ChunkAssembler).
 //!
 //! Faults are **typed**: a [`FaultCode`] plus a `retryable` flag that
@@ -80,8 +80,16 @@ pub const DEFAULT_MAX_FRAME: usize = 4 << 20;
 pub const DEFAULT_MAX_DOC: usize = 64 << 20;
 
 /// Handshake capability bit: the peer understands the
-/// `DocChunkStart`/`DocChunk`/`DocChunkEnd` frame family.
-pub const CAP_CHUNKED: u8 = 0x01;
+/// `DocChunkStart`/`DocChunk`/`DocChunkEnd` frame family with an XXH64
+/// `DocChunkEnd` digest.
+///
+/// Bit `0x01` is retired and never advertised again: it meant the same
+/// frames with an FNV-1a digest. Moving the bit rather than the digest
+/// alone means a peer from before the change and one after it each see
+/// no chunking capability in the other, so they fall back to
+/// single-frame shipping instead of faulting every transfer on a digest
+/// mismatch.
+pub const CAP_CHUNKED: u8 = 0x02;
 
 /// The kind of a frame, i.e. its `type` byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +112,7 @@ pub enum FrameType {
     DocChunkStart,
     /// One chunk of a chunked transfer (sequence number + bytes).
     DocChunk,
-    /// Closes a chunked transfer (count + total length + FNV-64 digest).
+    /// Closes a chunked transfer (count + total length + XXH64 digest).
     DocChunkEnd,
 }
 
@@ -616,6 +624,25 @@ pub fn doc_chunk(id: u64, seq: u32, data: &[u8]) -> Frame {
     }
 }
 
+/// Bytes in front of a `DocChunk` frame's data: the frame header plus
+/// the sequence number.
+pub(crate) const CHUNK_PREFIX_LEN: usize = HEADER_LEN + 4;
+
+/// Fills in `frame[..CHUNK_PREFIX_LEN]` so that `frame` becomes the
+/// encoded `DocChunk` frame carrying `frame[CHUNK_PREFIX_LEN..]` — the
+/// bytes [`write_frame`] writes for [`doc_chunk`]`(id, seq, data)`. A
+/// sender can then gather chunk data straight into a reused frame
+/// buffer and write it without building a [`Frame`].
+pub(crate) fn encode_chunk_prefix(frame: &mut [u8], id: u64, seq: u32) -> Result<(), WireError> {
+    let len = u32::try_from(frame.len() - HEADER_LEN)
+        .map_err(|_| WireError::Malformed("payload exceeds u32 length".to_owned()))?;
+    frame[0] = FrameType::DocChunk.to_byte();
+    frame[1..9].copy_from_slice(&id.to_be_bytes());
+    frame[9..13].copy_from_slice(&len.to_be_bytes());
+    frame[13..17].copy_from_slice(&seq.to_be_bytes());
+    Ok(())
+}
+
 /// Decodes a `DocChunk` payload, returning `(sequence number, bytes)`.
 pub fn decode_chunk(payload: &[u8]) -> Result<(u32, &[u8]), WireError> {
     if payload.len() < 4 {
@@ -626,7 +653,7 @@ pub fn decode_chunk(payload: &[u8]) -> Result<(u32, &[u8]), WireError> {
 }
 
 /// Builds the `DocChunkEnd` frame closing a chunked transfer: chunk
-/// count, cumulative byte length, and the FNV-64 digest of those bytes.
+/// count, cumulative byte length, and the XXH64 digest of those bytes.
 pub fn doc_chunk_end(id: u64, count: u32, total: u64, digest: u64) -> Frame {
     let mut payload = Vec::with_capacity(4 + 8 + 8);
     payload.extend_from_slice(&count.to_be_bytes());
@@ -651,6 +678,23 @@ pub fn decode_chunk_end(payload: &[u8]) -> Result<(u32, u64, u64), WireError> {
     let total = u64::from_be_bytes(payload[4..12].try_into().expect("8 total bytes"));
     let digest = u64::from_be_bytes(payload[12..20].try_into().expect("8 digest bytes"));
     Ok((count, total, digest))
+}
+
+/// A whole, well-formed chunked transfer of `data`: `DocChunkStart`,
+/// `chunk`-byte `DocChunk` frames (the last may be shorter; none for
+/// empty data) and a `DocChunkEnd` declaring the true count, total and
+/// XXH64 digest. The frames a [`NetClient`](crate::NetClient) sends for
+/// the same bytes, for tests and tools that speak the protocol by hand.
+pub fn chunk_transfer(id: u64, name: &str, data: &[u8], chunk: usize) -> Vec<Frame> {
+    let mut frames = vec![doc_chunk_start(id, name)];
+    let mut seq = 0u32;
+    for piece in data.chunks(chunk.max(1)) {
+        frames.push(doc_chunk(id, seq, piece));
+        seq += 1;
+    }
+    let digest = axml_support::hash::xxh64(data);
+    frames.push(doc_chunk_end(id, seq, data.len() as u64, digest));
+    frames
 }
 
 /// Decodes a `Request`/`Response` payload as the UTF-8 envelope it carries.
@@ -760,6 +804,30 @@ mod tests {
             decode_chunk_start(&[0, 5, b'x']),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn chunk_transfer_declares_count_total_and_digest() {
+        let data = b"0123456789";
+        let frames = chunk_transfer(3, "d.xml", data, 4);
+        let kinds: Vec<FrameType> = frames.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                FrameType::DocChunkStart,
+                FrameType::DocChunk,
+                FrameType::DocChunk,
+                FrameType::DocChunk,
+                FrameType::DocChunkEnd
+            ]
+        );
+        assert_eq!(decode_chunk(&frames[3].payload).unwrap(), (2, &b"89"[..]));
+        assert_eq!(
+            decode_chunk_end(&frames[4].payload).unwrap(),
+            (3, 10, axml_support::hash::xxh64(data))
+        );
+        // Empty data: Start and End only.
+        assert_eq!(chunk_transfer(3, "e", b"", 4).len(), 2);
     }
 
     #[test]

@@ -444,14 +444,23 @@ echo "== tier-1: chunking gate (wire parity + fuzz + 4x-cap ship, DESIGN.md §14
 # into DocChunkStart/DocChunk/DocChunkEnd frames is pure transport —
 # received bytes identical to the in-memory enforcement at every chunk
 # size, and the corruption taxonomy byte-identical across engines. The
-# parity property, the seeded fuzz sweep, and the pinned fault messages
-# all run under one wall-clock budget.
+# parity property, the seeded fuzz sweep, the pinned fault messages, the
+# XXH64 End digest catching every bit flip and chunk swap, the retired
+# FNV-era capability bit never counting as chunking, and the sender's
+# frames not depending on how the producer sizes its writes all run
+# under one wall-clock budget.
 chunk_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline --test chunk_parity
 # Test-name filters go after `--`: cargo itself takes only one.
 timeout --kill-after=10 60 cargo test -q --offline --test poller_frames -- \
     seeded_chunk_fuzz_taxonomy_matches_across_readers \
-    chunk_corruption_messages_are_pinned
+    chunk_corruption_messages_are_pinned \
+    every_chunk_payload_bit_flip_is_a_digest_mismatch \
+    swapped_equal_length_chunks_are_a_digest_mismatch
+timeout --kill-after=10 60 cargo test -q --offline --test net_exchange -- \
+    retired_chunk_bit_means_single_frame_or_refusal
+timeout --kill-after=10 60 cargo test -q --offline -p axml-net --lib -- \
+    chunk_sink_frames_do_not_depend_on_write_sizes
 chunk_elapsed=$(( $(date +%s) - chunk_started ))
 if [ "$chunk_elapsed" -ge 60 ]; then
     echo "chunking suites blew their wall-clock budget: ${chunk_elapsed}s >= 60s"

@@ -12,8 +12,8 @@
 //! EOF, mid-chunk stall, non-UTF-8 chunked document, silent and faulted
 //! handshake violations) with the daemon's metric snapshot compared too,
 //! queue-saturation Busy backpressure, the paper's Fig. 1 three-party
-//! newspaper exchange, and span correlation for clean and failed
-//! exchanges.
+//! newspaper exchange, a peer still advertising the retired chunk
+//! capability bit, and span correlation for clean and failed exchanges.
 
 use axml::net::{wire, ClientConfig, IoMode, NetClient, NetServer, ServerConfig, WireError};
 use axml::obs::{
@@ -26,6 +26,7 @@ use axml::services::{Registry, ServiceDef};
 use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Both engines, in the order the matrix runs them.
@@ -310,13 +311,9 @@ fn protocol_fault_outcome(io: IoMode) -> (Vec<Reply>, Snapshot) {
     {
         let (mut reader, mut stream) = dial(addr);
         shake(&mut reader, &mut stream);
-        let doc = [0xffu8, 0xfe, 0x00];
-        let mut digest = axml_support::hash::Fnv64::new();
-        digest.update(&doc);
-        wire::write_frame(&mut stream, &wire::doc_chunk_start(12, "latin1.xml")).unwrap();
-        wire::write_frame(&mut stream, &wire::doc_chunk(12, 0, &doc)).unwrap();
-        let end = wire::doc_chunk_end(12, 1, doc.len() as u64, digest.finish());
-        wire::write_frame(&mut stream, &end).unwrap();
+        for f in wire::chunk_transfer(12, "latin1.xml", &[0xff, 0xfe, 0x00], 3) {
+            wire::write_frame(&mut stream, &f).unwrap();
+        }
         out.push(("non-utf8-chunked-doc", read(&mut reader)));
         let scrape = scrape_header(&mut reader, &mut stream, 13);
         out.push(("conn-survives-non-utf8", Ok(scrape)));
@@ -674,6 +671,109 @@ fn matrix_oversized_newspaper_ships_chunked_identically() {
     assert_eq!(
         threads, poll,
         "the chunk-shipped oversized document is engine-independent"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Scenario: a peer that still advertises the retired chunk bit.
+// ---------------------------------------------------------------------
+
+/// The capability bit that meant "chunked, with an FNV-1a End digest".
+const RETIRED_CAP_CHUNKED: u8 = 0x01;
+
+/// What the old daemon saw on one connection: the caps of the client's
+/// Hello, then the kind of every frame after it.
+type Seen = (u8, Vec<wire::FrameType>);
+
+/// A hand-rolled daemon from before the XXH64 digest: its `Welcome`
+/// advertises [`RETIRED_CAP_CHUNKED`], and it answers single `Request`
+/// frames through `peer`'s envelope handler. It serves `conns`
+/// connections one after another, each until the client hangs up, and
+/// yields what it saw on each.
+fn old_chunk_daemon(peer: Arc<Peer>, conns: usize) -> (SocketAddr, JoinHandle<Vec<Seen>>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handler = axml::peer::envelope_handler(peer);
+    let daemon = std::thread::spawn(move || {
+        (0..conns)
+            .map(|_| {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                let hello = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
+                let (_, _, caps) = wire::decode_hello_caps(&hello.payload).unwrap();
+                let welcome = wire::welcome_with("old.example.org", RETIRED_CAP_CHUNKED);
+                wire::write_frame(&mut writer, &welcome).unwrap();
+                let mut kinds = Vec::new();
+                while let Ok(frame) = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME) {
+                    kinds.push(frame.kind);
+                    if frame.kind != wire::FrameType::Request {
+                        continue;
+                    }
+                    let envelope = wire::decode_envelope(&frame.payload).unwrap();
+                    let reply = match handler.handle(frame.id, &envelope) {
+                        Ok(text) => wire::response(frame.id, &text),
+                        Err(fault) => wire::fault(frame.id, &fault),
+                    };
+                    wire::write_frame(&mut writer, &reply).unwrap();
+                }
+                (caps, kinds)
+            })
+            .collect()
+    });
+    (addr, daemon)
+}
+
+/// A new peer and one advertising the retired bit see no chunking
+/// capability in each other: `RemotePeer` ships the document as one
+/// `Request` frame, and `NetClient` refuses before sending a chunk.
+/// Neither ever reaches a digest check it would fail.
+#[test]
+fn retired_chunk_bit_means_single_frame_or_refusal() {
+    assert_eq!(wire::CAP_CHUNKED & RETIRED_CAP_CHUNKED, 0);
+    let receiver = Arc::new(Peer::new(
+        "old.example.org",
+        compiled(vocab()),
+        Arc::new(Registry::new()),
+    ));
+    let (addr, daemon) = old_chunk_daemon(Arc::clone(&receiver), 2);
+    let sender = Peer::new(
+        "newspaper.example.org",
+        compiled(vocab()),
+        Arc::new(Registry::new()),
+    );
+    let exchange = compiled(vocab());
+
+    let remote = RemotePeer::connect(addr, ClientConfig::default()).unwrap();
+    let report = remote
+        .send_document_chunked(&sender, "front", &front_page(), &exchange, 64)
+        .unwrap();
+    assert!(
+        report.fell_back,
+        "the retired bit must not count as chunking"
+    );
+    let stored = receiver.repository.load("front").expect("document stored");
+    validate(&stored, &receiver.compiled).unwrap();
+    drop(remote);
+
+    let client = NetClient::new(addr, ClientConfig::default()).unwrap();
+    let err = client
+        .send_document_chunked(None, "d.xml", 64, |w| w.write_all(b"<d/>"))
+        .unwrap_err();
+    assert!(
+        matches!(err, axml::net::ClientError::Handshake(ref m) if m.contains("chunked")),
+        "expected a Handshake refusal, got {err:?}"
+    );
+    drop(client);
+
+    let seen = daemon.join().unwrap();
+    assert_eq!(
+        seen,
+        [
+            (wire::CAP_CHUNKED, vec![wire::FrameType::Request]),
+            (wire::CAP_CHUNKED, vec![]),
+        ],
+        "one single-frame Request, and no chunk frame on either connection"
     );
 }
 

@@ -19,7 +19,6 @@ use axml::net::{
     Admission, ChunkAssembler, ChunkProgress, Connection, FrameDecoder, Protocol, ServerConfig,
     WireError, WireFault, Work,
 };
-use axml_support::hash::Fnv64;
 use axml_support::rng::{Rng, RngExt, SeedableRng, StdRng};
 
 /// Ground truth: the blocking reader consuming the same bytes from an
@@ -246,21 +245,6 @@ fn corrupt_prefix_yields_the_same_typed_fault_as_blocking() {
 // matter which reader fed the assembler its frames.
 // ---------------------------------------------------------------------
 
-/// A well-formed chunked transfer: Start, consecutive chunks, an End
-/// declaring the true count/total/FNV-64 digest.
-fn transfer_frames(id: u64, name: &str, data: &[u8], chunk: usize) -> Vec<Frame> {
-    let mut frames = vec![wire::doc_chunk_start(id, name)];
-    let mut digest = Fnv64::new();
-    let mut seq = 0u32;
-    for piece in data.chunks(chunk.max(1)) {
-        digest.update(piece);
-        frames.push(wire::doc_chunk(id, seq, piece));
-        seq += 1;
-    }
-    frames.push(wire::doc_chunk_end(id, seq, data.len() as u64, digest.finish()));
-    frames
-}
-
 /// Drives one [`ChunkAssembler`] over the chunk-family frames of a
 /// decoded stream, collapsing each step to a comparable string — the
 /// completed document's bytes are included so payload corruption at a
@@ -303,7 +287,7 @@ fn seeded_chunk_fuzz_taxonomy_matches_across_readers() {
         }
         data.truncate(len);
         let chunk = rng.random_range(1..=600usize);
-        let mut frames = transfer_frames(id, "fuzz.xml", &data, chunk);
+        let mut frames = wire::chunk_transfer(id, "fuzz.xml", &data, chunk);
         // Interleave a control frame somewhere mid-transfer: the real
         // reader answers StatsRequest inline without touching the
         // assembler, so the transcript must be unaffected.
@@ -420,7 +404,7 @@ fn chunk_corruption_messages_are_pinned() {
         ),
     ];
     for (label, corrupt, expected) in cases {
-        let mut frames = transfer_frames(7, "pin.xml", data, 8);
+        let mut frames = wire::chunk_transfer(7, "pin.xml", data, 8);
         corrupt(&mut frames);
         let mut bytes = Vec::new();
         for frame in &frames {
@@ -437,6 +421,84 @@ fn chunk_corruption_messages_are_pinned() {
         // And the blocking path reports the identical message.
         let (blocking, _) = blocking_reference(&bytes, MAX);
         assert_eq!(assembler_transcript(&blocking, 1 << 20), transcript, "{label}");
+    }
+}
+
+/// Encodes `frames`, reads them back through both readers (the decoder
+/// fed in seeded random slivers), and returns the one error each
+/// assembler transcript holds. Both readers must agree.
+fn transfer_error(frames: &[Frame], rng: &mut StdRng, label: &str) -> String {
+    let mut bytes = Vec::new();
+    for frame in frames {
+        wire::write_frame(&mut bytes, frame).unwrap();
+    }
+    let (blocking, _) = blocking_reference(&bytes, MAX);
+    let chunks = random_chunks(rng, bytes.len());
+    let (decoded, _) = decoder_run(&bytes, MAX, &chunks);
+    let transcript = assembler_transcript(&blocking, 1 << 20);
+    assert_eq!(
+        assembler_transcript(&decoded, 1 << 20),
+        transcript,
+        "{label}: readers diverged"
+    );
+    let errors: Vec<&String> = transcript
+        .iter()
+        .filter(|s| s.starts_with("err: "))
+        .collect();
+    assert_eq!(
+        errors.len(),
+        1,
+        "{label}: expected one error in {transcript:?}"
+    );
+    errors[0].clone()
+}
+
+/// 87 bytes in three 29-byte chunks: two whole 32-byte XXH64 stripes
+/// and a 23-byte tail, so flips land in the lanes and in every tail
+/// path (8-byte words, a 4-byte word, single bytes).
+fn three_chunk_data() -> Vec<u8> {
+    (0..87u32).map(|i| (i * 37 + 11) as u8).collect()
+}
+
+/// Every single-bit flip of any chunk's data passes the count and total
+/// checks and is caught by the End digest, identically by both readers.
+#[test]
+fn every_chunk_payload_bit_flip_is_a_digest_mismatch() {
+    let data = three_chunk_data();
+    let clean = wire::chunk_transfer(5, "flip.xml", &data, 29);
+    assert_eq!(clean.len(), 5, "Start, three chunks, End");
+    let mut rng = StdRng::seed_from_u64(0xF11B);
+    for frame in 1..=3 {
+        // Bytes 0..4 of a chunk payload are its sequence number.
+        for byte in 4..clean[frame].payload.len() {
+            for bit in 0..8 {
+                let mut frames = clean.clone();
+                frames[frame].payload[byte] ^= 1 << bit;
+                let label = format!("chunk {} byte {} bit {bit}", frame - 1, byte - 4);
+                let err = transfer_error(&frames, &mut rng, &label);
+                assert!(err.contains("chunk digest mismatch"), "{label}: {err}");
+            }
+        }
+    }
+}
+
+/// Swapping the data of two equal-length chunks keeps every sequence
+/// number, the count and the total — only the digest sees the reorder.
+#[test]
+fn swapped_equal_length_chunks_are_a_digest_mismatch() {
+    let data = three_chunk_data();
+    let clean = wire::chunk_transfer(6, "swap.xml", &data, 29);
+    let mut rng = StdRng::seed_from_u64(0x5AAB);
+    for (a, b) in [(1, 2), (1, 3), (2, 3)] {
+        let mut frames = clean.clone();
+        let pa = frames[a].payload[4..].to_vec();
+        let pb = frames[b].payload[4..].to_vec();
+        assert_ne!(pa, pb);
+        frames[a].payload[4..].copy_from_slice(&pb);
+        frames[b].payload[4..].copy_from_slice(&pa);
+        let label = format!("swap chunks {} and {}", a - 1, b - 1);
+        let err = transfer_error(&frames, &mut rng, &label);
+        assert!(err.contains("chunk digest mismatch"), "{label}: {err}");
     }
 }
 
@@ -504,7 +566,7 @@ fn core_stream(rng: &mut StdRng) -> Vec<u8> {
             1 => {
                 let mut data = random_payload(rng);
                 data.truncate(700);
-                transfer_frames(id, "fuzz.xml", &data, rng.random_range(1..=300usize))
+                wire::chunk_transfer(id, "fuzz.xml", &data, rng.random_range(1..=300usize))
             }
             2 => vec![wire::stats_request(id)],
             _ => vec![wire::hello("again")],
