@@ -26,6 +26,7 @@ use crate::safe::{complement_of, BuildMode, SafeGame};
 use crate::solve_cache::{SolveCache, SolvedPossible, SolvedSafe, TargetSlot};
 use axml_automata::{Dfa, Nfa, Regex, Symbol};
 use axml_schema::{validate_output_instance, words_of, Compiled, CompiledContent, FuncNode, ITree};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -342,6 +343,26 @@ impl<'c> Rewriter<'c> {
         }
         self.k = saved;
         found
+    }
+
+    /// The Schema Enforcement module's core on one document (Sec. 7
+    /// steps i–iii): validate `tree`, return it as it stands when it
+    /// conforms, otherwise rewrite it with `strategy` or fail with the
+    /// typed error.
+    pub fn enforce<'t>(
+        &mut self,
+        tree: &'t ITree,
+        strategy: Strategy,
+        invoker: &mut dyn Invoker,
+    ) -> Result<(Cow<'t, ITree>, RewriteReport), RewriteError> {
+        if axml_schema::validate(tree, self.compiled).is_ok() {
+            return Ok((Cow::Borrowed(tree), RewriteReport::default()));
+        }
+        let (out, report) = match strategy {
+            Strategy::Safe => self.rewrite_safe(tree, invoker)?,
+            Strategy::Possible => self.rewrite_possible(tree, invoker)?,
+        };
+        Ok((Cow::Owned(out), report))
     }
 
     /// Executes a safe rewriting of `tree` against `invoker`.
@@ -1145,12 +1166,10 @@ pub fn enforce(
     k: u32,
     invoker: &mut dyn Invoker,
 ) -> Result<(ITree, RewriteReport), RewriteError> {
-    if axml_schema::validate(tree, compiled).is_ok() {
-        return Ok((tree.clone(), RewriteReport::default()));
-    }
-    Rewriter::new(compiled)
+    let (out, report) = Rewriter::new(compiled)
         .with_k(k)
-        .rewrite_safe(tree, invoker)
+        .enforce(tree, Strategy::Safe, invoker)?;
+    Ok((out.into_owned(), report))
 }
 
 #[cfg(test)]

@@ -55,8 +55,7 @@ use crate::solve_cache::{SolveCache, TargetSlot, DEFAULT_CAPACITY};
 use axml_automata::{Dfa, Regex, Symbol, NO_STATE};
 use axml_schema::{forest_from_nodes, validate, words_of, Compiled, CompiledContent, ITree, INT_NS};
 use axml_xml::{
-    element_to_string, escape_text, parse_document, Attribute, Element, Event, Node, QName, Reader,
-    StreamWriter, WriteOptions,
+    escape_text, parse_document, Attribute, Element, Event, Node, QName, Reader, StreamWriter,
 };
 use std::borrow::Cow;
 use std::io;
@@ -606,12 +605,11 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
 }
 
 /// Serializes one rewritten item in the compact normal form the DOM path
-/// emits (`element_to_string` of `ITree::to_xml`; bare text is escaped).
+/// emits ([`ITree::write_xml`]; bare text is escaped).
 fn serialize_item(t: &ITree) -> String {
-    match t {
-        ITree::Text(s) => escape_text(s).into_owned(),
-        other => element_to_string(&other.to_xml(), &WriteOptions::compact()),
-    }
+    let mut out = String::new();
+    t.write_xml_item(&mut out);
+    out
 }
 
 fn run_engine<'c>(
@@ -707,20 +705,7 @@ pub fn enforce_stream<'i>(
     enforce_stream_buffered(compiled, input, opts, &cache, &mut inv)
 }
 
-/// Like [`enforce_stream`], but materializing calls through a borrowed
-/// [`Invoker`] instead of a factory.
-pub fn enforce_stream_with(
-    compiled: &Compiled,
-    input: &str,
-    opts: &StreamOptions,
-    invoker: &mut dyn Invoker,
-) -> Result<(String, StreamReport), RewriteError> {
-    let cache = resolve_cache(opts);
-    let mut inv = Inv::Ready(invoker);
-    enforce_stream_buffered(compiled, input, opts, &cache, &mut inv)
-}
-
-/// Like [`enforce_stream_with`], but streaming the enforced output into
+/// Like [`enforce_stream`], but streaming the enforced output into
 /// `sink` instead of buffering it — the convenience wrapper the network
 /// layer's chunked shipping path drives, so a document larger than RAM
 /// never exists in one allocation on the sender. Fallback semantics are
@@ -879,17 +864,10 @@ impl<'c> Rewriter<'c> {
     ) -> Result<(String, RewriteReport), RewriteError> {
         let doc = parse_document(input).map_err(|e| RewriteError::Invalid(e.to_string()))?;
         let tree = ITree::from_xml(&doc.root).map_err(RewriteError::Invalid)?;
-        if validate(&tree, self.compiled()).is_ok() {
-            return Ok((
-                element_to_string(&tree.to_xml(), &WriteOptions::compact()),
-                RewriteReport::default(),
-            ));
-        }
-        let (out, rep) = match strategy {
-            Strategy::Safe => self.rewrite_safe(&tree, invoker)?,
-            Strategy::Possible => self.rewrite_possible(&tree, invoker)?,
-        };
-        Ok((element_to_string(&out.to_xml(), &WriteOptions::compact()), rep))
+        let (out, rep) = self.enforce(&tree, strategy, invoker)?;
+        let mut text = String::with_capacity(input.len());
+        out.write_xml(&mut text);
+        Ok((text, rep))
     }
 }
 

@@ -57,10 +57,19 @@ fn resolve(endpoint: &str) -> io::Result<SocketAddr> {
     })
 }
 
+/// Dials `endpoint` with Nagle's algorithm off, as the daemon's sockets
+/// already run: a small frame written right after a large one (a
+/// `DocChunkEnd` after its last chunk) must not wait for the peer's
+/// delayed ACK.
+fn dial(endpoint: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&resolve(endpoint)?, timeout)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 impl Transport for TcpTransport {
     fn connect(&self, endpoint: &str, timeout: Duration) -> io::Result<Box<dyn Duplex>> {
-        let stream = TcpStream::connect_timeout(&resolve(endpoint)?, timeout)?;
-        Ok(Box::new(stream))
+        Ok(Box::new(dial(endpoint, timeout)?))
     }
 }
 
@@ -101,6 +110,14 @@ mod tests {
         accepted.write_all(b"pong").unwrap();
         clone.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"pong");
+    }
+
+    #[test]
+    fn client_streams_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = listener.local_addr().unwrap().to_string();
+        let dialed = dial(&endpoint, Duration::from_secs(2)).unwrap();
+        assert!(dialed.nodelay().unwrap());
     }
 
     #[test]

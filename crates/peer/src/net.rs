@@ -470,8 +470,8 @@ impl RemotePeer {
             report.rewrite = rewrite;
             return Ok(report);
         }
-        let text =
-            axml_xml::element_to_string(&doc.to_xml(), &axml_xml::WriteOptions::compact());
+        let mut text = String::new();
+        doc.write_xml(&mut text);
         let opts = StreamOptions {
             k: caller.enforce.k,
             cache: Some(caller.enforce.cache.clone()),
@@ -544,8 +544,7 @@ impl RemotePeer {
                 }
             }
         };
-        let params = [ITree::text(name), sent.clone()];
-        let envelope = soap::request(RECEIVE_METHOD, &params).to_xml();
+        let envelope = soap::request(RECEIVE_METHOD, &[&ITree::text(name), &sent]).to_xml();
         let reply = {
             let mut sp = axml_obs::span("ship");
             sp.set("rid", rid);

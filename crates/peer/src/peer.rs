@@ -16,13 +16,13 @@
 
 use crate::repository::Repository;
 use axml_core::invoke::{InvokeError, Invoker};
-use axml_core::rewrite::{RewriteError, RewriteReport, Rewriter};
+use axml_core::rewrite::{RewriteError, RewriteReport, Rewriter, Strategy};
 use axml_core::solve_cache::SolveCache;
-use axml_core::stream::{enforce_stream_with, StreamOptions};
 use axml_schema::{validate_output_instance, Compiled, ITree};
 use axml_services::{soap, Registry, ServiceDef};
 use axml_support::sync::channel::{bounded, unbounded, Receiver, Sender};
 use axml_support::sync::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -359,31 +359,32 @@ impl Peer {
     }
 
     /// Whole-document enforcement against an exchange schema, the
-    /// sender's half of the Fig. 1 exchange. Element documents stream
-    /// through [`enforce_stream_with`] (which falls back to the DOM
-    /// pipeline internally, with identical bytes); a bare text or call
-    /// root takes the DOM pipeline directly.
+    /// sender's half of the Fig. 1 exchange. The tree goes through the
+    /// [`Rewriter`] core in place, with this peer's `k` and solver cache.
+    /// An element root is taken in its normal form on both sides
+    /// ([`ITree::normalize`]), so the result equals enforcing its XML
+    /// text and decoding the output; a bare text or call root is
+    /// enforced as it stands.
     pub(crate) fn enforce_document(
         &self,
         exchange: &Compiled,
         doc: &ITree,
         invoker: &mut dyn Invoker,
     ) -> Result<(ITree, RewriteReport), PeerError> {
+        let mut rewriter = Rewriter::new(exchange)
+            .with_k(self.enforce.k)
+            .with_cache(&self.enforce.cache);
         if !matches!(doc, ITree::Elem { .. }) {
-            let k = self.enforce.k;
-            return Ok(axml_core::rewrite::enforce(exchange, doc, k, invoker)?);
+            let (out, report) = rewriter.enforce(doc, Strategy::Safe, invoker)?;
+            return Ok((out.into_owned(), report));
         }
-        let text = axml_xml::element_to_string(&doc.to_xml(), &axml_xml::WriteOptions::compact());
-        let opts = StreamOptions {
-            k: self.enforce.k,
-            cache: Some(self.enforce.cache.clone()),
-            ..StreamOptions::default()
+        let input = doc.normalize().map_err(RewriteError::Invalid)?;
+        let (out, report) = rewriter.enforce(&input, Strategy::Safe, invoker)?;
+        let renormalized = match out.normalize().map_err(PeerError::Enforcement)? {
+            Cow::Owned(n) => Some(n),
+            Cow::Borrowed(_) => None,
         };
-        let (out, rep) = enforce_stream_with(exchange, &text, &opts, invoker)?;
-        let sent = axml_xml::parse_document(&out)
-            .map_err(|e| PeerError::Enforcement(format!("re-parsing enforced output: {e}")))
-            .and_then(|d| ITree::from_xml(&d.root).map_err(PeerError::Enforcement))?;
-        Ok((sent, rep.rewrite))
+        Ok((renormalized.unwrap_or_else(|| out.into_owned()), report))
     }
 
     /// Spawns a server thread speaking SOAP envelopes over channels.
@@ -818,6 +819,23 @@ mod tests {
         assert_eq!(sent.num_funcs(), 0, "fully materialized");
         assert!(report.invoked.len() >= 2);
         validate(&sent, &strict).unwrap();
+    }
+
+    #[test]
+    fn bare_call_root_is_enforced_through_the_peer_cache() {
+        // A call root has no element encoding to normalize; it still goes
+        // through the peer's one core, warming the peer's solver cache.
+        let sender = newspaper_peer();
+        let exchange = web_compiled();
+        // Its parameter is a call, so validation fails and the rewriter
+        // solves the parameter's game.
+        let doc = ITree::func(
+            "Get_Date",
+            vec![ITree::func("Get_Temp", vec![ITree::data("city", "Paris")])],
+        );
+        let before = sender.solve_cache().stats().lookups;
+        let _ = sender.send_document(&doc, &exchange, &InboundPolicy::AcceptAll);
+        assert!(sender.solve_cache().stats().lookups > before);
     }
 
     #[test]

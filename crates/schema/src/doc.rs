@@ -9,7 +9,8 @@
 //! `endpointURL` and `namespaceURI` attributes, and its parameters wrapped
 //! in `int:params`/`int:param`.
 
-use axml_xml::{Element, Node};
+use axml_xml::{escape_attr, escape_text, Element, Node};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The namespace used to mark intensional (function-call) elements.
@@ -158,6 +159,103 @@ impl ITree {
         }
     }
 
+    /// Writes the compact XML encoding of the tree to `out`: exactly the
+    /// bytes `axml_xml::element_to_string` writes for [`ITree::to_xml`]
+    /// with `WriteOptions::compact()`, without building the [`Element`].
+    pub fn write_xml(&self, out: &mut String) {
+        match self {
+            ITree::Elem { label, children } => {
+                out.push('<');
+                out.push_str(label);
+                if children.is_empty() {
+                    out.push_str("/>");
+                    return;
+                }
+                out.push('>');
+                for c in children {
+                    c.write_xml_item(out);
+                }
+                out.push_str("</");
+                out.push_str(label);
+                out.push('>');
+            }
+            ITree::Text(t) => {
+                out.push_str("<text>");
+                out.push_str(&escape_text(t));
+                out.push_str("</text>");
+            }
+            ITree::Func(f) => write_func(f, out),
+        }
+    }
+
+    /// Writes the tree as element content: text is escaped in place,
+    /// elements and calls are written as by [`ITree::write_xml`].
+    pub fn write_xml_item(&self, out: &mut String) {
+        match self {
+            ITree::Text(t) => out.push_str(&escape_text(t)),
+            other => other.write_xml(out),
+        }
+    }
+
+    /// The tree that decoding its own compact XML gives back, i.e.
+    /// `ITree::from_xml` of the parsed [`ITree::write_xml`] output,
+    /// without the text in between. Each run of adjacent text children is
+    /// concatenated, trimmed and dropped if empty; a text parameter is
+    /// trimmed; a bare text root becomes its `text` carrier element.
+    /// Borrowed when the tree is already normal, the common case.
+    ///
+    /// Fails where the decoder would: a call parameter that is empty
+    /// after trimming. Labels are taken to be XML names without a prefix;
+    /// the XML round trip rejects or re-reads any other label.
+    pub fn normalize(&self) -> Result<Cow<'_, ITree>, String> {
+        match self {
+            ITree::Elem { label, children } => Ok(match normalize_forest(children)? {
+                None => Cow::Borrowed(self),
+                Some(children) => Cow::Owned(ITree::Elem {
+                    label: label.clone(),
+                    children,
+                }),
+            }),
+            ITree::Text(t) => Ok(Cow::Owned(ITree::Elem {
+                label: "text".to_owned(),
+                children: normalize_forest(std::slice::from_ref(self))?
+                    .unwrap_or_else(|| vec![ITree::Text(t.clone())]),
+            })),
+            ITree::Func(f) => {
+                let mut params: Option<Vec<ITree>> = None;
+                for (i, p) in f.params.iter().enumerate() {
+                    let fixed = match p {
+                        ITree::Text(t) => {
+                            let trimmed = t.trim();
+                            if trimmed.is_empty() {
+                                return Err("empty int:param".to_owned());
+                            }
+                            (trimmed.len() != t.len()).then(|| ITree::text(trimmed))
+                        }
+                        other => match other.normalize()? {
+                            Cow::Borrowed(_) => None,
+                            Cow::Owned(n) => Some(n),
+                        },
+                    };
+                    if let Some(n) = fixed {
+                        params.get_or_insert_with(|| f.params[..i].to_vec()).push(n);
+                    } else if let Some(v) = &mut params {
+                        v.push(p.clone());
+                    }
+                }
+                Ok(match params {
+                    None => Cow::Borrowed(self),
+                    Some(params) => Cow::Owned(ITree::Func(FuncNode {
+                        name: f.name.clone(),
+                        endpoint: f.endpoint.clone(),
+                        namespace: f.namespace.clone(),
+                        params,
+                    })),
+                })
+            }
+        }
+    }
+
     /// Decodes from XML, recognizing `int:fun` elements as function nodes.
     pub fn from_xml(e: &Element) -> Result<ITree, String> {
         if e.name.matches(INT_NS, "fun") {
@@ -233,6 +331,86 @@ fn write_children(f: &mut fmt::Formatter<'_>, children: &[ITree]) -> fmt::Result
         write!(f, "{c}")?;
     }
     write!(f, "]")
+}
+
+/// The normal form of an element's children (see [`ITree::normalize`]),
+/// or `None` when they are normal already.
+fn normalize_forest(children: &[ITree]) -> Result<Option<Vec<ITree>>, String> {
+    let mut out: Option<Vec<ITree>> = None;
+    let mut i = 0;
+    while i < children.len() {
+        // `None`: `children[i]` stays; `Some(items)`: `children[i..end]`
+        // becomes `items` (at most one).
+        let (end, fixed) = match &children[i] {
+            ITree::Text(t) => {
+                let end = children[i..]
+                    .iter()
+                    .position(|c| !matches!(c, ITree::Text(_)))
+                    .map_or(children.len(), |n| i + n);
+                if end == i + 1 && !t.is_empty() && t.trim().len() == t.len() {
+                    (end, None)
+                } else {
+                    let run: String = children[i..end]
+                        .iter()
+                        .filter_map(|c| match c {
+                            ITree::Text(t) => Some(t.as_str()),
+                            _ => None,
+                        })
+                        .collect();
+                    let trimmed = run.trim();
+                    (
+                        end,
+                        Some((!trimmed.is_empty()).then(|| ITree::text(trimmed))),
+                    )
+                }
+            }
+            c => match c.normalize()? {
+                Cow::Borrowed(_) => (i + 1, None),
+                Cow::Owned(n) => (i + 1, Some(Some(n))),
+            },
+        };
+        match fixed {
+            Some(items) => out
+                .get_or_insert_with(|| children[..i].to_vec())
+                .extend(items),
+            None => {
+                if let Some(v) = &mut out {
+                    v.push(children[i].clone());
+                }
+            }
+        }
+        i = end;
+    }
+    Ok(out)
+}
+
+fn write_func(f: &FuncNode, out: &mut String) {
+    out.push_str("<int:fun xmlns:int=\"");
+    out.push_str(INT_NS);
+    out.push_str("\" methodName=\"");
+    out.push_str(&escape_attr(&f.name));
+    out.push('"');
+    if let Some(url) = &f.endpoint {
+        out.push_str(" endpointURL=\"");
+        out.push_str(&escape_attr(url));
+        out.push('"');
+    }
+    if let Some(ns) = &f.namespace {
+        out.push_str(" namespaceURI=\"");
+        out.push_str(&escape_attr(ns));
+        out.push('"');
+    }
+    if f.params.is_empty() {
+        out.push_str("/>");
+        return;
+    }
+    out.push_str("><int:params>");
+    for p in &f.params {
+        out.push_str("<int:param>");
+        p.write_xml_item(out);
+        out.push_str("</int:param>");
+    }
+    out.push_str("</int:params></int:fun>");
 }
 
 fn push_xml(parent: &mut Element, tree: &ITree) {

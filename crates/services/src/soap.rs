@@ -7,7 +7,8 @@
 //! intensional result forest, and fault envelopes.
 
 use axml_schema::ITree;
-use axml_xml::{parse_document, Element, Node};
+use axml_xml::{escape_attr, escape_text, parse_document, Element, Node};
+use std::borrow::Borrow;
 
 /// The SOAP 1.1 envelope namespace.
 pub const SOAP_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
@@ -74,55 +75,128 @@ pub enum Message {
     Fault(Fault),
 }
 
-fn envelope(body_content: Element) -> Element {
-    Element::with_ns("soap", "Envelope", SOAP_NS)
-        .xmlns("soap", SOAP_NS)
-        .child(Element::with_ns("soap", "Body", SOAP_NS).child(body_content))
+/// An envelope ready to be written. It borrows what it carries, and
+/// [`Envelope::to_xml`] writes the envelope text straight from the trees,
+/// with no [`Element`] in between.
+#[derive(Debug)]
+pub enum Envelope<'a, P = ITree> {
+    /// A call request: method + parameters.
+    Request {
+        /// The method (function) name.
+        method: &'a str,
+        /// Parameter forest.
+        params: &'a [P],
+    },
+    /// A successful response carrying the result forest.
+    Response(&'a [ITree]),
+    /// A fault; `retryable` travels in the standard SOAP `detail` element
+    /// so foreign decoders see a plain 1.1 fault.
+    Fault {
+        /// Fault code.
+        code: &'a str,
+        /// Human-readable fault string.
+        message: &'a str,
+        /// Whether retrying can succeed.
+        retryable: bool,
+    },
 }
 
-/// Builds a request envelope.
-pub fn request(method: &str, params: &[ITree]) -> Element {
-    let mut call = Element::new("call").attr("method", method);
-    for p in params {
-        let mut param = Element::new("param");
-        push_tree(&mut param, p);
-        call.children.push(Node::Element(param));
-    }
-    envelope(call)
+/// Builds a request envelope. Parameters may be owned or borrowed trees.
+pub fn request<'a, P: Borrow<ITree>>(method: &'a str, params: &'a [P]) -> Envelope<'a, P> {
+    Envelope::Request { method, params }
 }
 
 /// Builds a response envelope.
-pub fn response(result: &[ITree]) -> Element {
-    let mut res = Element::new("result");
-    for t in result {
-        push_tree(&mut res, t);
-    }
-    envelope(res)
+pub fn response(result: &[ITree]) -> Envelope<'_> {
+    Envelope::Response(result)
 }
 
 /// Builds a non-retryable fault envelope (shorthand for
 /// [`fault_envelope`] over [`Fault::new`]).
-pub fn fault(code: &str, message: &str) -> Element {
-    fault_envelope(&Fault::new(code, message))
+pub fn fault<'a>(code: &'a str, message: &'a str) -> Envelope<'a> {
+    Envelope::Fault {
+        code,
+        message,
+        retryable: false,
+    }
 }
 
-/// Builds a fault envelope. The `retryable` flag travels in the standard
-/// SOAP `detail` element so foreign decoders see a plain 1.1 fault.
-pub fn fault_envelope(f: &Fault) -> Element {
-    let mut el = Element::with_ns("soap", "Fault", SOAP_NS)
-        .child(Element::new("faultcode").text(&f.code))
-        .child(Element::new("faultstring").text(&f.message));
-    if f.retryable {
-        el = el.child(Element::new("detail").child(Element::new("retryable").text("true")));
+/// Builds a fault envelope.
+pub fn fault_envelope(f: &Fault) -> Envelope<'_> {
+    Envelope::Fault {
+        code: &f.code,
+        message: &f.message,
+        retryable: f.retryable,
     }
-    envelope(el)
 }
 
-fn push_tree(parent: &mut Element, tree: &ITree) {
-    match tree {
-        ITree::Text(t) => parent.children.push(Node::Text(t.clone())),
-        other => parent.children.push(Node::Element(other.to_xml())),
+impl<P: Borrow<ITree>> Envelope<'_, P> {
+    /// The envelope's XML text, in the compact form
+    /// [`axml_xml::element_to_string`] gives the same envelope built as
+    /// an [`Element`].
+    pub fn to_xml(&self) -> String {
+        let mut out = String::with_capacity(256);
+        out.push_str("<soap:Envelope xmlns:soap=\"");
+        out.push_str(SOAP_NS);
+        out.push_str("\"><soap:Body>");
+        match self {
+            Envelope::Request { method, params } => {
+                out.push_str("<call method=\"");
+                out.push_str(&escape_attr(method));
+                out.push('"');
+                write_forest(&mut out, "call", Some("param"), params);
+            }
+            Envelope::Response(result) => {
+                out.push_str("<result");
+                write_forest(&mut out, "result", None, result);
+            }
+            Envelope::Fault {
+                code,
+                message,
+                retryable,
+            } => {
+                out.push_str("<soap:Fault><faultcode>");
+                out.push_str(&escape_text(code));
+                out.push_str("</faultcode><faultstring>");
+                out.push_str(&escape_text(message));
+                out.push_str("</faultstring>");
+                if *retryable {
+                    out.push_str("<detail><retryable>true</retryable></detail>");
+                }
+                out.push_str("</soap:Fault>");
+            }
+        }
+        out.push_str("</soap:Body></soap:Envelope>");
+        out
     }
+}
+
+/// Closes the open start tag of `outer` and writes `items` as its
+/// content, each wrapped in a `wrap` element if one is given; an empty
+/// forest collapses the element to `<outer .../>`.
+fn write_forest<P: Borrow<ITree>>(out: &mut String, outer: &str, wrap: Option<&str>, items: &[P]) {
+    if items.is_empty() {
+        out.push_str("/>");
+        return;
+    }
+    out.push('>');
+    for item in items {
+        match wrap {
+            Some(w) => {
+                out.push('<');
+                out.push_str(w);
+                out.push('>');
+                item.borrow().write_xml_item(out);
+                out.push_str("</");
+                out.push_str(w);
+                out.push('>');
+            }
+            None => item.borrow().write_xml_item(out),
+        }
+    }
+    out.push_str("</");
+    out.push_str(outer);
+    out.push('>');
 }
 
 /// Decodes an envelope from its XML text.

@@ -358,9 +358,18 @@ echo "== tier-1: streaming-enforcement gate (parity + bounded memory, DESIGN.md 
 # under one wall-clock budget, the B14 smoke numbers (peak buffer flat
 # across a 16x document-size sweep, with the enforce.stream.* accounting
 # identity), and a live daemon scrape showing the streamed document
-# received and stored.
+# received and stored. The suites include the tree-native sender's
+# parity with the text pipeline it replaced (DESIGN.md §13.5): the
+# sender_* tests in stream_parity, required here by name, and the
+# tree/envelope writer suite.
 stream_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline --test stream_parity
+stream_tests="$(cargo test -q --offline --test stream_parity -- --list)"
+for t in sender_parity sender_parity_pinned_layouts \
+    sender_bare_roots_match_rewrite_enforce sender_divergence_label_not_an_xml_name; do
+    grep -qx "$t: test" <<<"$stream_tests" || { echo "stream_parity lost $t"; exit 1; }
+done
+timeout --kill-after=10 60 cargo test -q --offline --test tree_writer
 timeout --kill-after=10 60 cargo test -q --offline -p axml-core stream::
 stream_elapsed=$(( $(date +%s) - stream_started ))
 if [ "$stream_elapsed" -ge 60 ]; then

@@ -15,13 +15,22 @@
 //!   error taxonomy surviving the fallback;
 //! * a transport-matrix case shipping a streamed-enforced document across
 //!   both network engines (blocking threads and the poll loop) and
-//!   checking the receiver stores the document `enforce_dom` produces.
+//!   checking the receiver stores the document `enforce_dom` produces;
+//! * sender parity: the tree-native sender (`Peer::send_document`, which
+//!   enforces the `ITree` in place) against the text pipeline it
+//!   replaced — `enforce_dom` on the compact text, a re-parse, and an
+//!   `Element`-built envelope — over the same corpus and seeds plus
+//!   non-normal layouts: same sent tree, same envelope bytes, same
+//!   typed error.
 
 use axml::core::invoke::{Invoker, ScriptedInvoker};
 use axml::core::rewrite::{RewriteError, Strategy as RwStrategy};
 use axml::core::stream::{enforce_dom, enforce_stream, StreamOptions};
-use axml::peer::{NetInvoker, NetPeer, Peer, Query, RemotePeer};
-use axml::schema::{Compiled, ITree, NoOracle, Schema};
+use axml::peer::{
+    InboundPolicy, NetInvoker, NetPeer, Peer, PeerError, Query, RemotePeer, RECEIVE_METHOD,
+};
+use axml::schema::{Compiled, FuncNode, ITree, NoOracle, Schema};
+use axml::services::soap::{self, SOAP_NS};
 use axml::services::{Registry, ServiceDef};
 use axml_support::prelude::*;
 use std::sync::Arc;
@@ -54,17 +63,51 @@ const MODELS: [&str; 3] = [
     "title.date.temp.(exhibit|performance)*",
 ];
 
-fn scripted() -> ScriptedInvoker {
-    ScriptedInvoker::new()
-        .answer("Get_Temp", vec![ITree::data("temp", "15 C")])
-        .answer(
+/// The paper's services and what they answer, as `(name, input, output,
+/// answer)`.
+fn services() -> [(&'static str, &'static str, &'static str, Vec<ITree>); 3] {
+    [
+        (
+            "Get_Temp",
+            "city",
+            "temp",
+            vec![ITree::data("temp", "15 C")],
+        ),
+        (
             "TimeOut",
+            "data",
+            "(exhibit|performance)*",
             vec![ITree::elem(
                 "exhibit",
                 vec![ITree::data("title", "Monet"), ITree::data("date", "Mon")],
             )],
-        )
-        .answer("Get_Date", vec![ITree::data("date", "04/10/2002")])
+        ),
+        (
+            "Get_Date",
+            "title",
+            "date",
+            vec![ITree::data("date", "04/10/2002")],
+        ),
+    ]
+}
+
+fn scripted() -> ScriptedInvoker {
+    services()
+        .into_iter()
+        .fold(ScriptedInvoker::new(), |inv, (name, _, _, answer)| {
+            inv.answer(name, answer)
+        })
+}
+
+/// The same services behind a registry, for a sending peer.
+fn registry() -> Registry {
+    let r = Registry::new();
+    for (name, input, output, answer) in services() {
+        r.register_fn(ServiceDef::new(name, input, output), move |_| {
+            Ok(answer.clone())
+        });
+    }
+    r
 }
 
 /// Texts that exercise escaping, trimming, and whitespace-only runs.
@@ -409,6 +452,218 @@ fn matrix_streamed_exchange_identical_across_engines_and_modes() {
             "exchange over {io:?} differs from the enforce_dom reference"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Sender parity: the tree-native sender against the text pipeline.
+// ---------------------------------------------------------------------
+
+/// What the sender ships: the enforced tree and the receive envelope.
+type Shipped = Result<(ITree, String), PeerError>;
+
+/// The sender as it was: serialize the tree, enforce the text with the
+/// DOM reference, re-parse the output, build the envelope as an
+/// `Element`.
+fn sender_oracle(exchange: &Compiled, doc: &ITree) -> Shipped {
+    use axml::xml::{Element, Node};
+    let registry = registry();
+    let opts = StreamOptions {
+        k: 1,
+        ..StreamOptions::default()
+    };
+    let (out, _) = enforce_dom(exchange, &compact(doc), &opts, &mut || {
+        Box::new(registry.invoker(None)) as Box<dyn Invoker + Send + '_>
+    })?;
+    let parsed = axml::xml::parse_document(&out)
+        .map_err(|e| PeerError::Enforcement(format!("re-parsing enforced output: {e}")))?;
+    let sent = ITree::from_xml(&parsed.root).map_err(PeerError::Enforcement)?;
+    let param = |node: Node| {
+        let mut p = Element::new("param");
+        p.children.push(node);
+        p
+    };
+    let envelope = Element::with_ns("soap", "Envelope", SOAP_NS)
+        .xmlns("soap", SOAP_NS)
+        .child(
+            Element::with_ns("soap", "Body", SOAP_NS).child(
+                Element::new("call")
+                    .attr("method", RECEIVE_METHOD)
+                    .child(param(Node::Text("front".to_owned())))
+                    .child(param(Node::Element(sent.to_xml()))),
+            ),
+        );
+    Ok((sent, envelope.to_xml()))
+}
+
+/// The sender as it is: `Peer::send_document` enforces the tree in place,
+/// and the envelope is written straight from it, as `RemotePeer` does.
+fn sender_now(exchange: &Arc<Compiled>, doc: &ITree) -> Shipped {
+    let peer = Peer::new("sender", Arc::clone(exchange), Arc::new(registry())).with_k(1);
+    let (sent, _) = peer.send_document(doc, exchange, &InboundPolicy::AcceptAll)?;
+    let envelope = soap::request(RECEIVE_METHOD, &[&ITree::text("front"), &sent]).to_xml();
+    Ok((sent, envelope))
+}
+
+/// A layout of the same document that a tree built in code (rather than
+/// parsed) may have: 0 keeps it, 1 pads every text, 2 splits every
+/// element text into adjacent runs around an empty one, 3 puts
+/// whitespace-only texts around every element child.
+fn layout(t: &ITree, variant: u32) -> ITree {
+    match t {
+        ITree::Text(s) if variant == 1 => ITree::Text(format!("  {s}\n")),
+        ITree::Text(_) => t.clone(),
+        ITree::Func(f) => ITree::Func(FuncNode {
+            params: f
+                .params
+                .iter()
+                .map(|p| match p {
+                    ITree::Text(s) if variant > 0 => ITree::Text(format!(" {s}\t")),
+                    other => layout(other, variant),
+                })
+                .collect(),
+            ..f.clone()
+        }),
+        ITree::Elem { label, children } => {
+            let mut out = Vec::new();
+            for c in children {
+                match (variant, c) {
+                    (2, ITree::Text(s)) => {
+                        let mid = s
+                            .char_indices()
+                            .nth(s.chars().count() / 2)
+                            .map_or(0, |(i, _)| i);
+                        out.extend([
+                            ITree::text(&s[..mid]),
+                            ITree::text(""),
+                            ITree::text(&s[mid..]),
+                        ]);
+                    }
+                    (3, c) => out.extend([ITree::text(" \n "), layout(c, variant)]),
+                    (_, c) => out.push(layout(c, variant)),
+                }
+            }
+            if variant == 3 {
+                out.push(ITree::text("\t"));
+            }
+            ITree::elem(label, out)
+        }
+    }
+}
+
+fn assert_sender_parity(exchange: &Arc<Compiled>, doc: &ITree) {
+    assert_eq!(
+        sender_now(exchange, doc),
+        sender_oracle(exchange, doc),
+        "sender diverges on {doc}"
+    );
+}
+
+/// The stream-parity corpus and seeds (the same strategy under the same
+/// property name draws the same documents), each in all four layouts,
+/// against the paper's three exchange schemas.
+#[test]
+fn sender_parity() {
+    let schemas = MODELS.map(|m| Arc::new(compiled(m)));
+    axml_support::prop::run(
+        "stream_parity",
+        &ProptestConfig::with_cases(48),
+        (newspaper_strategy(), (0u32..2).prop_map(|b| b == 1)),
+        |(doc, _pretty)| {
+            for variant in 0..4 {
+                let doc = layout(&doc, variant);
+                for exchange in &schemas {
+                    assert_sender_parity(exchange, &doc);
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Pinned non-normal shapes: whitespace-only and empty texts, adjacent
+/// runs, and a call parameter that trims to nothing (the decoder's typed
+/// error on both sides).
+#[test]
+fn sender_parity_pinned_layouts() {
+    let paper = axml::schema::newspaper_example();
+    let docs = [
+        layout(&paper, 1),
+        layout(&paper, 2),
+        layout(&paper, 3),
+        ITree::elem(
+            "newspaper",
+            vec![
+                ITree::text("   "),
+                ITree::elem(
+                    "title",
+                    vec![ITree::text(""), ITree::text(" a & b "), ITree::text("")],
+                ),
+                ITree::elem("date", vec![ITree::text("\n")]),
+                ITree::func("Get_Temp", vec![ITree::data("city", " Paris ")]),
+            ],
+        ),
+        ITree::elem(
+            "newspaper",
+            vec![
+                ITree::data("title", "t"),
+                ITree::data("date", "d"),
+                ITree::data("temp", "1"),
+                ITree::func("TimeOut", vec![ITree::text(" \n ")]),
+            ],
+        ),
+    ];
+    for model in MODELS {
+        let exchange = Arc::new(compiled(model));
+        for doc in &docs {
+            assert_sender_parity(&exchange, doc);
+        }
+    }
+    let exchange = Arc::new(compiled(MODELS[1]));
+    assert_eq!(
+        sender_now(&exchange, &docs[4]),
+        Err(PeerError::Enforcement(
+            "invalid document: empty int:param".to_owned()
+        ))
+    );
+}
+
+/// A bare text or call root has no element encoding to normalize; it is
+/// enforced as it stands, exactly as `rewrite::enforce` does.
+#[test]
+fn sender_bare_roots_match_rewrite_enforce() {
+    let registry = registry();
+    for model in MODELS {
+        let exchange = Arc::new(compiled(model));
+        for doc in [
+            ITree::text(" exhibits "),
+            ITree::func("Get_Temp", vec![ITree::data("city", "Paris")]),
+        ] {
+            let expected =
+                axml::core::rewrite::enforce(&exchange, &doc, 1, &mut registry.invoker(None))
+                    .map(|(t, _)| t)
+                    .map_err(PeerError::from);
+            let peer =
+                Peer::new("sender", Arc::clone(&exchange), Arc::new(self::registry())).with_k(1);
+            let got = peer
+                .send_document(&doc, &exchange, &InboundPolicy::AcceptAll)
+                .map(|(t, _)| t);
+            assert_eq!(got, expected, "on {doc}");
+        }
+    }
+}
+
+/// The one known divergence (DESIGN.md §13.5): a label that is not an XML
+/// name. The text pipeline failed to re-parse its own serialization; the
+/// tree-native sender checks the label against the schema instead. Both
+/// refuse the document.
+#[test]
+fn sender_divergence_label_not_an_xml_name() {
+    let exchange = Arc::new(compiled(MODELS[0]));
+    let doc = ITree::elem("newspaper", vec![ITree::data("not a name", "x")]);
+    let old = sender_oracle(&exchange, &doc).unwrap_err();
+    let now = sender_now(&exchange, &doc).unwrap_err();
+    assert!(old.to_string().contains("missing '='"), "{old}");
+    assert!(matches!(now, PeerError::Enforcement(_)), "{now}");
 }
 
 /// Spot run backing the EXPERIMENTS.md B14 claim: a ~100 MB document
