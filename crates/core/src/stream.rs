@@ -18,9 +18,9 @@
 //!   holds.
 //! * **Detection-based materialization.** When an `int:fun` child appears
 //!   under an element `P`, `P` enters *tail mode*: the remaining children
-//!   are materialized into DOM form (with the exact normalization of
-//!   [`axml_schema::forest_from_nodes`]) while the already-emitted prefix
-//!   stays streamed. At `P`'s close the suffix is rewritten with
+//!   are fed to an [`axml_schema::TreeBuilder`] (the one-pass decoder,
+//!   which normalizes exactly as the DOM path does) while the
+//!   already-emitted prefix stays streamed. At `P`'s close the suffix is rewritten with
 //!   [`Rewriter::rewrite_suffix`]: the game is built over `P`'s *full*
 //!   children word (prefix symbols included, so it is the same `A_w^k`
 //!   the DOM path solves, warm in the shared [`SolveCache`]), the prefix
@@ -53,10 +53,8 @@ use crate::invoke::{InvokeError, Invoker};
 use crate::rewrite::{RewriteError, RewriteReport, Rewriter, Strategy};
 use crate::solve_cache::{SolveCache, TargetSlot, DEFAULT_CAPACITY};
 use axml_automata::{Dfa, Regex, Symbol, NO_STATE};
-use axml_schema::{forest_from_nodes, validate, words_of, Compiled, CompiledContent, ITree, INT_NS};
-use axml_xml::{
-    escape_text, parse_document, Attribute, Element, Event, Node, QName, Reader, StreamWriter,
-};
+use axml_schema::{validate, words_of, Compiled, CompiledContent, ITree, TreeBuilder, INT_NS};
+use axml_xml::{escape_text, parse_document, Event, Name, Reader, StreamWriter};
 use std::borrow::Cow;
 use std::io;
 
@@ -197,7 +195,7 @@ enum Kind<'c> {
 }
 
 struct Frame<'c, 'a> {
-    label: String,
+    label: &'a str,
     kind: Kind<'c>,
     /// Child symbols consumed so far — the streamed prefix word, needed
     /// when a later `int:fun` child forces a suffix rewrite.
@@ -212,14 +210,12 @@ enum TailKind {
     FunRegion,
 }
 
-/// An in-flight materialized region, built with `parse_document`'s exact
-/// merge rules so `forest_from_nodes` normalizes identically to the DOM
-/// path.
-struct Tail {
+/// An in-flight materialized region, decoded by the same builder as
+/// [`ITree::parse`], so it normalizes identically to the DOM path.
+struct Tail<'a> {
     kind: TailKind,
     start_pos: usize,
-    nodes: Vec<Node>,
-    open: Vec<Element>,
+    builder: TreeBuilder<'a>,
 }
 
 struct Engine<'c, 'a, 'w, 'r> {
@@ -227,7 +223,7 @@ struct Engine<'c, 'a, 'w, 'r> {
     reader: Reader<'a>,
     writer: StreamWriter<&'w mut dyn io::Write>,
     stack: Vec<Frame<'c, 'a>>,
-    tail: Option<Tail>,
+    tail: Option<Tail<'a>>,
     report: &'r mut StreamReport,
 }
 
@@ -248,12 +244,17 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
                 continue;
             }
             match ev {
-                Event::StartElement {
-                    name,
-                    attributes,
-                    ns_decls,
-                    ..
-                } => self.on_start(name, attributes, ns_decls)?,
+                Event::StartElement { ref name, .. } => {
+                    if let Some(kind) = self.on_start(name)? {
+                        let mut builder = TreeBuilder::content();
+                        builder.feed(ev);
+                        self.tail = Some(Tail {
+                            kind,
+                            start_pos: self.reader.pos(),
+                            builder,
+                        });
+                    }
+                }
                 Event::EndElement { .. } => self.on_end()?,
                 Event::Text(t) => {
                     if let Some(top) = self.stack.last_mut() {
@@ -270,12 +271,9 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         Ok(())
     }
 
-    fn on_start(
-        &mut self,
-        name: QName,
-        attributes: Vec<Attribute>,
-        ns_decls: Vec<(String, String)>,
-    ) -> Result<(), Stop> {
+    /// Opens an element, or says which materialized region an `int:fun`
+    /// starts.
+    fn on_start(&mut self, name: &Name<'a>) -> Result<Option<TailKind>, Stop> {
         self.finalize_run()?;
         let is_fun = name.matches(INT_NS, "fun");
         enum Top {
@@ -294,7 +292,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         };
         match top {
             Top::Data => {
-                let label = &self.stack.last().expect("data frame").label;
+                let label = self.stack.last().expect("data frame").label;
                 return Err(Stop::Fallback(format!(
                     "'{label}' is atomic but has element children"
                 )));
@@ -305,23 +303,11 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
                 ));
             }
             Top::Any | Top::Model if is_fun => {
-                let kind = if matches!(top, Top::Any) {
+                return Ok(Some(if matches!(top, Top::Any) {
                     TailKind::FunRegion
                 } else {
                     TailKind::Suffix
-                };
-                self.tail = Some(Tail {
-                    kind,
-                    start_pos: self.reader.pos(),
-                    nodes: Vec::new(),
-                    open: vec![Element {
-                        name,
-                        attributes,
-                        ns_decls,
-                        children: Vec::new(),
-                    }],
-                });
-                return Ok(());
+                }));
             }
             _ => {}
         }
@@ -334,7 +320,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
             ..
         }) = self.stack.last_mut()
         {
-            let sym = self.compiled.classify_label(&name.local);
+            let sym = self.compiled.classify_label(name.local);
             let next = dfa.next(*state, sym);
             if next == NO_STATE {
                 return Err(Stop::Fallback(format!(
@@ -349,20 +335,20 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
             // Wildcard content is copied without classification; unknown
             // labels are fine there, as in the DOM path.
             Top::Any => Frame {
-                label: name.local.clone(),
+                label: name.local,
                 kind: Kind::Any,
                 word: Vec::new(),
                 run: Run::None,
             },
-            _ => self.open_frame(&name.local)?,
+            _ => self.open_frame(name.local)?,
         };
-        let n = self.writer.start(&name.local)?;
+        let n = self.writer.start(name.local)?;
         self.report.bytes_rewritten += n as u64;
         self.stack.push(frame);
-        Ok(())
+        Ok(None)
     }
 
-    fn open_frame(&self, label: &str) -> Result<Frame<'c, 'a>, Stop> {
+    fn open_frame(&self, label: &'a str) -> Result<Frame<'c, 'a>, Stop> {
         let sym = self.compiled.classify_label(label);
         let kind = match self.compiled.content(sym) {
             None => return Err(Stop::Fallback(format!("unknown element '{label}'"))),
@@ -376,7 +362,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
             },
         };
         Ok(Frame {
-            label: label.to_owned(),
+            label,
             kind,
             word: Vec::new(),
             run: Run::None,
@@ -394,7 +380,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
                 )));
             }
         }
-        let n = self.writer.end(&frame.label)?;
+        let n = self.writer.end(frame.label)?;
         self.report.bytes_rewritten += n as u64;
         Ok(())
     }
@@ -448,69 +434,21 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         strategy: Strategy,
         inv: &mut Inv<'_, '_>,
     ) -> Result<(), Stop> {
-        let tail = self.tail.as_mut().expect("in tail mode");
-        match ev {
-            Event::StartElement {
-                name,
-                attributes,
-                ns_decls,
-                ..
-            } => {
-                tail.open.push(Element {
-                    name,
-                    attributes,
-                    ns_decls,
-                    children: Vec::new(),
-                });
-            }
-            Event::EndElement { .. } => match tail.open.pop() {
-                Some(done) => match tail.open.last_mut() {
-                    Some(parent) => parent.children.push(Node::Element(done)),
-                    None => {
-                        tail.nodes.push(Node::Element(done));
-                        if matches!(tail.kind, TailKind::FunRegion) {
-                            return self.finish_fun_region();
-                        }
-                    }
-                },
-                // The owning element itself closes: rewrite the suffix.
-                None => return self.finish_suffix(rw, strategy, inv),
-            },
-            Event::Text(t) => {
-                let list = match tail.open.last_mut() {
-                    Some(e) => &mut e.children,
-                    None => &mut tail.nodes,
-                };
-                if let Some(Node::Text(prev)) = list.last_mut() {
-                    prev.push_str(&t);
-                } else if !t.trim().is_empty() {
-                    list.push(Node::Text(t.into_owned()));
-                }
-            }
-            Event::Comment(c) => {
-                let list = match tail.open.last_mut() {
-                    Some(e) => &mut e.children,
-                    None => &mut tail.nodes,
-                };
-                list.push(Node::Comment(c.to_owned()));
-            }
-            Event::Pi { target, data } => {
-                let list = match tail.open.last_mut() {
-                    Some(e) => &mut e.children,
-                    None => &mut tail.nodes,
-                };
-                list.push(Node::Pi {
-                    target: target.to_owned(),
-                    data: data.to_owned(),
-                });
-            }
-            Event::Eof => {
-                return Err(Stop::Fallback(
-                    "input ended inside a materialized region".into(),
-                ));
-            }
+        if let Event::Eof = ev {
+            return Err(Stop::Fallback(
+                "input ended inside a materialized region".into(),
+            ));
         }
-        Ok(())
+        let tail = self.tail.as_mut().expect("in tail mode");
+        let end = matches!(ev, Event::EndElement { .. });
+        // A suffix ends when its owning element closes the builder's
+        // root; a call region when the call itself closes.
+        let closed = tail.builder.feed(ev);
+        match tail.kind {
+            TailKind::Suffix if closed => self.finish_suffix(rw, strategy, inv),
+            TailKind::FunRegion if end && tail.builder.depth() == 0 => self.finish_fun_region(),
+            _ => Ok(()),
+        }
     }
 
     fn account_region(&mut self, start_pos: usize) {
@@ -527,11 +465,11 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
     fn finish_fun_region(&mut self) -> Result<(), Stop> {
         let tail = self.tail.take().expect("in tail mode");
         self.account_region(tail.start_pos);
-        let Some(Node::Element(e)) = tail.nodes.last() else {
+        let items = tail.builder.finish().map_err(Stop::Fallback)?;
+        let Some(t) = items.first() else {
             return Err(Stop::Fallback("empty materialized region".into()));
         };
-        let t = ITree::from_xml(e).map_err(Stop::Fallback)?;
-        let s = serialize_item(&t);
+        let s = serialize_item(t);
         let n = self.writer.raw(&s)?;
         self.report.bytes_rewritten += n as u64;
         Ok(())
@@ -558,7 +496,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         else {
             return Err(Stop::Fallback("suffix tail under non-model frame".into()));
         };
-        let items = forest_from_nodes(&tail.nodes).map_err(Stop::Fallback)?;
+        let items = tail.builder.finish().map_err(Stop::Fallback)?;
         let tail_word = words_of(&items, self.compiled).expect("words_of is total");
         // Validate-tail-first: when the content model admits function
         // symbols and the element is valid as parsed, splice the tail
@@ -586,7 +524,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
                 &items,
                 regex,
                 TargetSlot::Content(sym),
-                &frame.label,
+                frame.label,
                 strategy,
                 inv.get(),
                 &mut self.report.rewrite,
@@ -598,7 +536,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
             let n = self.writer.raw(&s)?;
             self.report.bytes_rewritten += n as u64;
         }
-        let n = self.writer.end(&frame.label)?;
+        let n = self.writer.end(frame.label)?;
         self.report.bytes_rewritten += n as u64;
         Ok(())
     }
@@ -862,6 +800,8 @@ impl<'c> Rewriter<'c> {
         strategy: Strategy,
         invoker: &mut dyn Invoker,
     ) -> Result<(String, RewriteReport), RewriteError> {
+        // Through the DOM rather than `ITree::parse`, for the peak-RSS
+        // reason DESIGN.md §2.2 measures.
         let doc = parse_document(input).map_err(|e| RewriteError::Invalid(e.to_string()))?;
         let tree = ITree::from_xml(&doc.root).map_err(RewriteError::Invalid)?;
         let (out, rep) = self.enforce(&tree, strategy, invoker)?;

@@ -26,7 +26,7 @@ use axml_core::rewrite::RewriteReport;
 use axml_core::stream::{enforce_stream_to, StreamOptions, StreamReport};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
 use axml_net::{ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig, ServerStats};
-use axml_schema::{validate, validate_output_instance, Compiled, ITree};
+use axml_schema::{validate, validate_output_instance, Compiled, ITree, ParseError};
 use axml_services::soap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -238,9 +238,12 @@ fn handle_net_document(peer: &Peer, rid: u64, name: &str, text: &str) -> Result<
 /// Parses a chunk-shipped document (chunked transfers carry raw XML
 /// text, no SOAP envelope) into the repository's [`ITree`] form.
 fn parse_text(text: &str) -> Result<ITree, PeerError> {
-    axml_xml::parse_document(text)
-        .map_err(|e| PeerError::Enforcement(format!("chunked document: {e}")))
-        .and_then(|d| ITree::from_xml(&d.root).map_err(PeerError::Enforcement))
+    ITree::parse(text).map_err(|e| {
+        PeerError::Enforcement(match e {
+            ParseError::Xml(e) => format!("chunked document: {e}"),
+            ParseError::Tree(m) => m,
+        })
+    })
 }
 
 /// Unpacks the `(name, document)` parameters of a [`RECEIVE_METHOD`]

@@ -449,11 +449,8 @@ impl Repository {
                 continue;
             };
             let text = std::fs::read_to_string(&path)?;
-            let parsed = axml_xml::parse_document(&text).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-            })?;
-            let tree = ITree::from_xml(&parsed.root)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            let tree = ITree::parse(&text)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
             self.store(name, tree);
             count += 1;
         }

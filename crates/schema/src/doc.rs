@@ -256,7 +256,9 @@ impl ITree {
         }
     }
 
-    /// Decodes from XML, recognizing `int:fun` elements as function nodes.
+    /// Decodes from a DOM element, recognizing `int:fun` elements as
+    /// function nodes. Decoding text goes through [`ITree::parse`]
+    /// instead, which builds the same tree without the DOM.
     pub fn from_xml(e: &Element) -> Result<ITree, String> {
         if e.name.matches(INT_NS, "fun") {
             return Ok(ITree::Func(func_from_xml(e)?));
@@ -268,12 +270,10 @@ impl ITree {
     }
 }
 
-/// Decodes a DOM child list the way [`ITree::from_xml`] treats element
-/// content: elements recurse (recognizing `int:fun`), text is trimmed and
-/// dropped when whitespace-only, comments and PIs vanish. Exposed so the
-/// streaming enforcer can materialize a tail forest with identical
-/// normalization to the DOM path.
-pub fn forest_from_nodes(nodes: &[Node]) -> Result<Vec<ITree>, String> {
+/// Decodes a DOM child list as element content: elements recurse
+/// (recognizing `int:fun`), text is trimmed and dropped when
+/// whitespace-only, comments and PIs vanish.
+fn forest_from_nodes(nodes: &[Node]) -> Result<Vec<ITree>, String> {
     let mut children = Vec::new();
     for c in nodes {
         match c {

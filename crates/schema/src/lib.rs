@@ -8,7 +8,8 @@
 //!   predicates, wildcards, and the invocable/non-invocable partition
 //!   (Sec. 2.1) — built through [`Schema::builder`];
 //! * the intensional document model of Def. 1 ([`ITree`]) with the XML
-//!   encoding of Sec. 7 (`int:fun` elements);
+//!   encoding of Sec. 7 (`int:fun` elements), decoded from text in one
+//!   pass over reader events ([`ITree::parse`], [`TreeBuilder`]);
 //! * compilation onto a finite *effective alphabet* ([`Compiled`]) so that
 //!   every algorithm downstream is a plain finite-automaton construction;
 //! * validation (Def. 3) and random instance generation (the `∀ output
@@ -37,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+mod build;
 mod compile;
 mod def;
 mod doc;
@@ -48,12 +50,13 @@ mod stream;
 mod validate;
 pub mod xsd;
 
+pub use build::{ParseError, TreeBuilder};
 pub use compile::{Compiled, CompiledContent, SigInfo, SymKind, MAX_PATTERNS};
 pub use def::{
     merge, overlay, Content, ElementDef, FunctionDef, NameKind, NoOracle, PatternDef,
     PatternOracle, Predicate, Schema, SchemaBuilder, SchemaError, ANY_ELEMENT, ANY_FUNCTION, DATA,
 };
-pub use doc::{forest_from_nodes, newspaper_example, FuncNode, ITree, INT_NS};
+pub use doc::{newspaper_example, FuncNode, ITree, INT_NS};
 pub use generate::{
     generate_instance, generate_output_instance, generate_word_instance, GenConfig, GenError,
 };

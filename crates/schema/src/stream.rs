@@ -142,7 +142,7 @@ impl<'c> StreamValidator<'c> {
                     let method = attributes
                         .iter()
                         .find(|a| a.name.local == "methodName")
-                        .map(|a| a.value.clone())
+                        .map(|a| a.value.to_string())
                         .ok_or_else(|| Self::invalid("int:fun without methodName"))?;
                     let sym = self.compiled.classify_func(&method);
                     self.consume_symbol(sym)?;
@@ -172,7 +172,7 @@ impl<'c> StreamValidator<'c> {
                     return Ok(true);
                 }
                 // An ordinary element.
-                let sym = self.compiled.classify_label(&name.local);
+                let sym = self.compiled.classify_label(name.local);
                 self.consume_symbol(sym)?;
                 let content = self
                     .compiled
@@ -180,11 +180,11 @@ impl<'c> StreamValidator<'c> {
                     .ok_or_else(|| Self::invalid(format!("unknown element '{}'", name.local)))?;
                 let frame = match content {
                     CompiledContent::Data => Frame::Data {
-                        label: name.local.clone(),
+                        label: name.local.to_owned(),
                     },
                     CompiledContent::Any => Frame::Skip { depth: 0 },
                     CompiledContent::Model { dfa, .. } => Frame::Model {
-                        label: name.local.clone(),
+                        label: name.local.to_owned(),
                         dfa,
                         state: dfa.start,
                     },

@@ -6,8 +6,8 @@
 //! name and intensional parameters, response envelopes carrying an
 //! intensional result forest, and fault envelopes.
 
-use axml_schema::ITree;
-use axml_xml::{escape_attr, escape_text, parse_document, Element, Node};
+use axml_schema::{ITree, TreeBuilder};
+use axml_xml::{escape_attr, escape_text, Attr, Event, Name, Reader, XmlError};
 use std::borrow::Borrow;
 
 /// The SOAP 1.1 envelope namespace.
@@ -199,83 +199,195 @@ fn write_forest<P: Borrow<ITree>>(out: &mut String, outer: &str, wrap: Option<&s
     out.push('>');
 }
 
-/// Decodes an envelope from its XML text.
+/// Decodes an envelope from its XML text in one pass over reader events:
+/// Envelope, its first Body, the Body's first child, then the call
+/// parameters, the result forest or the fault fields, each tree built by
+/// a [`TreeBuilder`] with no DOM in between. Everything else is skipped
+/// unread, but an XML error anywhere in the text wins over a decode error.
 pub fn decode(text: &str) -> Result<Message, String> {
-    let doc = parse_document(text).map_err(|e| e.to_string())?;
-    decode_element(&doc.root)
+    let mut reader = Reader::new(text);
+    let decoded = envelope(&mut reader).map_err(|e| e.to_string())?;
+    loop {
+        if let Event::Eof = reader.next_event().map_err(|e| e.to_string())? {
+            return decoded;
+        }
+    }
 }
 
-/// Decodes an envelope from a parsed element.
-pub fn decode_element(root: &Element) -> Result<Message, String> {
-    if !root.name.matches(SOAP_NS, "Envelope") {
-        return Err(format!("not a SOAP envelope: <{}>", root.name));
-    }
-    let body = root
-        .child_elements()
-        .find(|e| e.name.matches(SOAP_NS, "Body"))
-        .ok_or("envelope has no Body")?;
-    let content = body.child_elements().next().ok_or("empty Body")?;
-    if content.name.matches(SOAP_NS, "Fault") {
-        let code = content
-            .first_child("faultcode")
-            .map(Element::text_content)
-            .unwrap_or_default();
-        let message = content
-            .first_child("faultstring")
-            .map(Element::text_content)
-            .unwrap_or_default();
-        let retryable = content
-            .first_child("detail")
-            .and_then(|d| d.first_child("retryable"))
-            .is_some_and(|r| r.text_content().trim() == "true");
-        return Ok(Message::Fault(Fault {
-            code,
-            message,
-            retryable,
-        }));
-    }
-    match content.name.local.as_str() {
-        "call" => {
-            let method = content
-                .attribute("method")
-                .ok_or("call without method")?
-                .to_owned();
-            let mut params = Vec::new();
-            for p in content.children_named("param") {
-                params.push(decode_forest_item(p)?);
-            }
-            Ok(Message::Request { method, params })
+/// A decode verdict; the outer `Result` of the walkers below carries the
+/// reader's error, which wins.
+type Decoded<T> = Result<T, String>;
+
+fn envelope(r: &mut Reader<'_>) -> Result<Decoded<Message>, XmlError> {
+    let root = loop {
+        match r.next_event()? {
+            Event::StartElement { name, .. } => break name,
+            Event::Eof => return Ok(Err("document has no root element".to_owned())),
+            _ => {}
         }
-        "result" => {
-            let mut result = Vec::new();
-            for c in &content.children {
-                match c {
-                    Node::Element(e) => result.push(ITree::from_xml(e)?),
-                    Node::Text(t) if !t.trim().is_empty() => {
-                        result.push(ITree::text(t.trim()));
+    };
+    if !root.matches(SOAP_NS, "Envelope") {
+        return Ok(Err(format!("not a SOAP envelope: <{root}>")));
+    }
+    loop {
+        match r.next_event()? {
+            Event::StartElement { name, .. } if name.matches(SOAP_NS, "Body") => return body(r),
+            Event::StartElement { .. } => skip(r)?,
+            Event::EndElement { .. } | Event::Eof => {
+                return Ok(Err("envelope has no Body".to_owned()))
+            }
+            _ => {}
+        }
+    }
+}
+
+fn body(r: &mut Reader<'_>) -> Result<Decoded<Message>, XmlError> {
+    loop {
+        match r.next_event()? {
+            Event::StartElement {
+                name, attributes, ..
+            } => return content(r, name, &attributes),
+            Event::EndElement { .. } | Event::Eof => return Ok(Err("empty Body".to_owned())),
+            _ => {}
+        }
+    }
+}
+
+fn content<'a>(
+    r: &mut Reader<'a>,
+    name: Name<'a>,
+    attributes: &[Attr<'a>],
+) -> Result<Decoded<Message>, XmlError> {
+    if name.matches(SOAP_NS, "Fault") {
+        return fault_fields(r).map(|f| Ok(Message::Fault(f)));
+    }
+    match name.local {
+        "call" => {
+            let Some(method) = attributes
+                .iter()
+                .find(|a| a.name.prefix.is_empty() && a.name.local == "method")
+            else {
+                return Ok(Err("call without method".to_owned()));
+            };
+            let method = method.value.to_string();
+            let mut params = Vec::new();
+            loop {
+                match r.next_event()? {
+                    Event::StartElement { name, .. } if name.local == "param" => {
+                        let param =
+                            TreeBuilder::param("empty param", "param must hold a single tree");
+                        match forest(r, param)? {
+                            Ok(p) => params.extend(p),
+                            Err(e) => return Ok(Err(e)),
+                        }
+                    }
+                    Event::StartElement { .. } => skip(r)?,
+                    Event::EndElement { .. } | Event::Eof => {
+                        return Ok(Ok(Message::Request { method, params }))
                     }
                     _ => {}
                 }
             }
-            Ok(Message::Response { result })
         }
-        other => Err(format!("unsupported body element <{other}>")),
+        "result" => {
+            Ok(forest(r, TreeBuilder::content())?.map(|result| Message::Response { result }))
+        }
+        other => Ok(Err(format!("unsupported body element <{other}>"))),
     }
 }
 
-fn decode_forest_item(param: &Element) -> Result<ITree, String> {
-    let elems: Vec<&Element> = param.child_elements().collect();
-    match elems.as_slice() {
-        [one] => ITree::from_xml(one),
-        [] => {
-            let t = param.text_content();
-            if t.is_empty() {
-                Err("empty param".to_owned())
-            } else {
-                Ok(ITree::text(&t))
+/// Feeds `builder` the rest of the element just opened.
+fn forest<'a>(
+    r: &mut Reader<'a>,
+    mut builder: TreeBuilder<'a>,
+) -> Result<Decoded<Vec<ITree>>, XmlError> {
+    loop {
+        match r.next_event()? {
+            Event::Eof => break,
+            ev => {
+                if builder.feed(ev) {
+                    break;
+                }
             }
         }
-        _ => Err("param must hold a single tree".to_owned()),
+    }
+    Ok(builder.finish())
+}
+
+/// The fields of a `soap:Fault`: the first `faultcode` and `faultstring`,
+/// and `retryable` from the first `detail`.
+fn fault_fields(r: &mut Reader<'_>) -> Result<Fault, XmlError> {
+    let (mut code, mut message, mut retryable) = (None, None, None);
+    loop {
+        match r.next_event()? {
+            Event::StartElement { name, .. } => match name.local {
+                "faultcode" if code.is_none() => code = Some(text_content(r)?),
+                "faultstring" if message.is_none() => message = Some(text_content(r)?),
+                "detail" if retryable.is_none() => retryable = Some(detail(r)?),
+                _ => skip(r)?,
+            },
+            Event::EndElement { .. } | Event::Eof => break,
+            _ => {}
+        }
+    }
+    Ok(Fault {
+        code: code.unwrap_or_default(),
+        message: message.unwrap_or_default(),
+        retryable: retryable.unwrap_or(false),
+    })
+}
+
+/// Whether the first `retryable` in a `detail` says `true`.
+fn detail(r: &mut Reader<'_>) -> Result<bool, XmlError> {
+    let mut retryable = None;
+    loop {
+        match r.next_event()? {
+            Event::StartElement { name, .. }
+                if name.local == "retryable" && retryable.is_none() =>
+            {
+                retryable = Some(text_content(r)? == "true");
+            }
+            Event::StartElement { .. } => skip(r)?,
+            Event::EndElement { .. } | Event::Eof => return Ok(retryable.unwrap_or(false)),
+            _ => {}
+        }
+    }
+}
+
+/// The trimmed direct text of the element just opened, merged the way
+/// the DOM merges text nodes (a whitespace-only run that does not follow
+/// text is dropped; child elements, comments and PIs break a run).
+fn text_content(r: &mut Reader<'_>) -> Result<String, XmlError> {
+    let mut text = String::new();
+    let mut in_run = false;
+    loop {
+        match r.next_event()? {
+            Event::Text(t) => {
+                if in_run || !t.trim().is_empty() {
+                    text.push_str(&t);
+                    in_run = true;
+                }
+            }
+            Event::StartElement { .. } => {
+                skip(r)?;
+                in_run = false;
+            }
+            Event::Comment(_) | Event::Pi { .. } => in_run = false,
+            Event::EndElement { .. } | Event::Eof => return Ok(text.trim().to_owned()),
+        }
+    }
+}
+
+/// Skips the rest of the element just opened.
+fn skip(r: &mut Reader<'_>) -> Result<(), XmlError> {
+    let mut depth = 0usize;
+    loop {
+        match r.next_event()? {
+            Event::StartElement { .. } => depth += 1,
+            Event::EndElement { .. } if depth > 0 => depth -= 1,
+            Event::EndElement { .. } | Event::Eof => return Ok(()),
+            _ => {}
+        }
     }
 }
 
@@ -347,7 +459,7 @@ mod tests {
     fn garbage_rejected() {
         assert!(decode("<notsoap/>").is_err());
         assert!(decode("not xml at all").is_err());
-        let env = Element::with_ns("soap", "Envelope", SOAP_NS).xmlns("soap", SOAP_NS);
-        assert!(decode_element(&env).is_err()); // no body
+        let no_body = format!("<soap:Envelope xmlns:soap=\"{SOAP_NS}\"/>");
+        assert_eq!(decode(&no_body).unwrap_err(), "envelope has no Body");
     }
 }

@@ -6,9 +6,10 @@
 //! supplies the XML substrate those documents live on:
 //!
 //! * a compact owned tree model ([`Document`], [`Element`], [`Node`]),
-//! * qualified names and namespace scoping ([`QName`], [`NsScope`]),
-//! * a streaming pull parser ([`Reader`], [`Event`]) plus a DOM builder
-//!   ([`parse_document`]),
+//! * qualified names ([`QName`]),
+//! * a streaming pull parser ([`Reader`]) whose [`Event`]s borrow their
+//!   names, values and text from the input ([`Name`], [`Attr`]), plus a
+//!   DOM builder ([`parse_document`]),
 //! * a serializer with compact and pretty modes ([`write_document`],
 //!   [`Element::to_xml`]).
 //!
@@ -39,6 +40,6 @@ mod reader;
 mod writer;
 
 pub use escape::{escape_attr, escape_text, unescape};
-pub use model::{Attribute, Document, Element, Node, NsScope, QName};
-pub use reader::{parse_document, Event, Reader, XmlError};
+pub use model::{Attribute, Document, Element, Node, QName};
+pub use reader::{parse_document, Attr, Event, Name, Reader, XmlError};
 pub use writer::{element_to_string, write_document, StreamWriter, WriteOptions};

@@ -1,6 +1,5 @@
 //! The owned XML tree model.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A qualified name: optional prefix, local part, and the namespace URI the
@@ -247,47 +246,6 @@ impl Document {
     }
 }
 
-/// A stack of in-scope namespace bindings used during parsing and writing.
-#[derive(Debug, Clone, Default)]
-pub struct NsScope {
-    frames: Vec<HashMap<String, String>>,
-}
-
-impl NsScope {
-    /// A scope with the implicit `xml` prefix bound.
-    pub fn new() -> Self {
-        let mut base = HashMap::new();
-        base.insert(
-            "xml".to_owned(),
-            "http://www.w3.org/XML/1998/namespace".to_owned(),
-        );
-        NsScope { frames: vec![base] }
-    }
-
-    /// Pushes a new frame of declarations.
-    pub fn push(&mut self, decls: &[(String, String)]) {
-        let mut frame = HashMap::new();
-        for (p, u) in decls {
-            frame.insert(p.clone(), u.clone());
-        }
-        self.frames.push(frame);
-    }
-
-    /// Pops the innermost frame.
-    pub fn pop(&mut self) {
-        self.frames.pop();
-    }
-
-    /// Resolves `prefix` (empty = default namespace) to a URI.
-    pub fn resolve(&self, prefix: &str) -> Option<&str> {
-        self.frames
-            .iter()
-            .rev()
-            .find_map(|f| f.get(prefix))
-            .map(String::as_str)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,22 +271,6 @@ mod tests {
         assert!(b.matches("urn:axml:int", "fun"));
         assert_ne!(a, b); // structural equality still sees the prefix
         assert_eq!(a.as_written(), "int:fun");
-    }
-
-    #[test]
-    fn ns_scope_resolution() {
-        let mut scope = NsScope::new();
-        assert_eq!(
-            scope.resolve("xml"),
-            Some("http://www.w3.org/XML/1998/namespace")
-        );
-        scope.push(&[("".to_owned(), "urn:default".to_owned())]);
-        scope.push(&[("a".to_owned(), "urn:a".to_owned())]);
-        assert_eq!(scope.resolve(""), Some("urn:default"));
-        assert_eq!(scope.resolve("a"), Some("urn:a"));
-        scope.pop();
-        assert_eq!(scope.resolve("a"), None);
-        assert_eq!(scope.resolve(""), Some("urn:default"));
     }
 
     #[test]

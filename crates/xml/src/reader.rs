@@ -1,7 +1,7 @@
 //! Streaming pull parser and DOM builder.
 
 use crate::escape::unescape;
-use crate::model::{Attribute, Document, Element, Node, NsScope, QName};
+use crate::model::{Attribute, Document, Element, Node, QName};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -28,28 +28,78 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// A qualified name as the reader saw it: prefix and local part borrowed
+/// from the input, and the namespace URI the prefix was bound to (empty
+/// string = no namespace). The URI borrows from the declaring attribute
+/// unless entities forced a rebuild.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Name<'a> {
+    /// The prefix as written (`int` in `int:fun`), empty if none.
+    pub prefix: &'a str,
+    /// The local part (`fun` in `int:fun`).
+    pub local: &'a str,
+    /// The resolved namespace URI, empty if none.
+    pub ns: Cow<'a, str>,
+}
+
+impl Name<'_> {
+    /// True if local part and namespace match (prefixes are irrelevant for
+    /// XML name identity).
+    pub fn matches(&self, ns: &str, local: &str) -> bool {
+        self.ns == ns && self.local == local
+    }
+
+    /// The owned [`QName`] of this name.
+    pub fn to_qname(&self) -> QName {
+        QName::prefixed(self.prefix, self.local, &self.ns)
+    }
+}
+
+impl fmt::Display for Name<'_> {
+    /// The name as written in markup: `prefix:local` or just `local`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.prefix.is_empty() {
+            f.write_str(self.local)
+        } else {
+            write!(f, "{}:{}", self.prefix, self.local)
+        }
+    }
+}
+
+/// An attribute of a start tag; the value is unescaped and borrows from
+/// the input unless entities forced a rebuild.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attr<'a> {
+    /// Attribute name (unprefixed attributes are in no namespace).
+    pub name: Name<'a>,
+    /// Unescaped value.
+    pub value: Cow<'a, str>,
+}
+
 /// A pull-parser event.
 ///
-/// Character data, comments, and PI payloads borrow from the reader's input
-/// where possible (`Cow::Borrowed` when no entity resolution was needed), so
-/// the hot loop allocates nothing for extensional text runs.
+/// Names, attribute values, character data, comments and PI payloads
+/// borrow from the reader's input where possible (`Cow::Borrowed` when no
+/// entity resolution was needed), so the hot loop allocates nothing per
+/// tag or extensional text run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event<'a> {
     /// `<name attr="v">`; `self_closing` is true for `<name/>`.
     StartElement {
         /// Resolved element name.
-        name: QName,
+        name: Name<'a>,
         /// Attributes (namespace declarations excluded).
-        attributes: Vec<Attribute>,
-        /// Namespace declarations written on this tag.
-        ns_decls: Vec<(String, String)>,
+        attributes: Vec<Attr<'a>>,
+        /// Namespace declarations written on this tag: `(prefix, uri)`,
+        /// the default namespace with an empty prefix.
+        ns_decls: Vec<(&'a str, Cow<'a, str>)>,
         /// Whether the tag was self-closing.
         self_closing: bool,
     },
     /// `</name>` (also emitted synthetically after self-closing tags).
     EndElement {
-        /// Resolved element name.
-        name: QName,
+        /// Resolved element name, the one its start tag opened.
+        name: Name<'a>,
     },
     /// Character data (unescaped, including CDATA content). Borrowed from
     /// the input unless entities forced a rebuild.
@@ -67,15 +117,22 @@ pub enum Event<'a> {
     Eof,
 }
 
+/// The namespace bound to the `xml` prefix in every document.
+const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
+
 /// A streaming XML pull parser over a string slice.
 pub struct Reader<'a> {
     input: &'a str,
     pos: usize,
-    scope: NsScope,
-    /// Stack of open element names (for matching end tags and ns scoping).
-    stack: Vec<QName>,
+    /// In-scope namespace bindings, innermost last; `marks[i]` is the
+    /// length `bindings` had before the `i`-th open element's
+    /// declarations were pushed.
+    bindings: Vec<(&'a str, Cow<'a, str>)>,
+    marks: Vec<usize>,
+    /// Stack of open element names (for matching end tags).
+    stack: Vec<Name<'a>>,
     /// Pending synthetic end event for a self-closing tag.
-    pending_end: Option<QName>,
+    pending_end: Option<Name<'a>>,
     seen_root: bool,
     finished_root: bool,
 }
@@ -86,8 +143,9 @@ impl<'a> Reader<'a> {
         Reader {
             input,
             pos: 0,
-            scope: NsScope::new(),
-            stack: Vec::new(),
+            bindings: vec![("xml", Cow::Borrowed(XML_NS))],
+            marks: Vec::with_capacity(16),
+            stack: Vec::with_capacity(16),
             pending_end: None,
             seen_root: false,
             finished_root: false,
@@ -132,21 +190,24 @@ impl<'a> Reader<'a> {
         self.pos = self.input.len() - trimmed.len();
     }
 
+    /// Drops the namespace declarations of the innermost open element.
+    fn pop_scope(&mut self) {
+        let mark = self.marks.pop().expect("one scope mark per open element");
+        self.bindings.truncate(mark);
+    }
+
     /// Pulls the next event.
     pub fn next_event(&mut self) -> Result<Event<'a>, XmlError> {
         if let Some(name) = self.pending_end.take() {
-            self.scope.pop();
+            self.pop_scope();
             if self.stack.is_empty() {
                 self.finished_root = true;
             }
             return Ok(Event::EndElement { name });
         }
         if self.pos >= self.input.len() {
-            if !self.stack.is_empty() {
-                return Err(self.err(format!(
-                    "unexpected end of input: <{}> not closed",
-                    self.stack.last().expect("stack non-empty")
-                )));
+            if let Some(open) = self.stack.last() {
+                return Err(self.err(format!("unexpected end of input: <{open}> not closed")));
             }
             if !self.seen_root {
                 return Err(self.err("document has no root element"));
@@ -165,25 +226,18 @@ impl<'a> Reader<'a> {
                 return Err(self.err("character data outside the root element"));
             }
         }
-        if self.starts_with("<?") {
-            return self.parse_pi();
+        let rest = self.rest().as_bytes();
+        if rest[0] != b'<' {
+            return self.parse_text();
         }
-        if self.starts_with("<!--") {
-            return self.parse_comment();
+        match rest.get(1) {
+            Some(b'?') => self.parse_pi(),
+            Some(b'!') if self.starts_with("<!--") => self.parse_comment(),
+            Some(b'!') if self.starts_with("<![CDATA[") => self.parse_cdata(),
+            Some(b'!') => Err(self.err("DTD declarations are not supported")),
+            Some(b'/') => self.parse_end_tag(),
+            _ => self.parse_start_tag(),
         }
-        if self.starts_with("<![CDATA[") {
-            return self.parse_cdata();
-        }
-        if self.starts_with("<!") {
-            return Err(self.err("DTD declarations are not supported"));
-        }
-        if self.starts_with("</") {
-            return self.parse_end_tag();
-        }
-        if self.starts_with("<") {
-            return self.parse_start_tag();
-        }
-        self.parse_text()
     }
 
     fn parse_pi(&mut self) -> Result<Event<'a>, XmlError> {
@@ -247,7 +301,18 @@ impl<'a> Reader<'a> {
 
     fn read_name(&mut self) -> Result<&'a str, XmlError> {
         let rest = self.rest();
-        let end = rest.find(|c: char| !is_name_char(c)).unwrap_or(rest.len());
+        // ASCII bytes are tested directly; other characters are decoded.
+        let mut end = 0;
+        while let Some(&b) = rest.as_bytes().get(end) {
+            if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') {
+                end += 1;
+                continue;
+            }
+            match rest[end..].chars().next() {
+                Some(c) if !c.is_ascii() && is_name_char(c) => end += c.len_utf8(),
+                _ => break,
+            }
+        }
         if end == 0 || !rest.starts_with(is_name_start) {
             return Err(self.err("expected an XML name"));
         }
@@ -262,8 +327,10 @@ impl<'a> Reader<'a> {
         }
         self.pos += 1; // <
         let raw_name = self.read_name()?;
-        let mut attributes_raw: Vec<(&'a str, String)> = Vec::new();
-        let mut ns_decls: Vec<(String, String)> = Vec::new();
+        // Attribute names are split as written and resolved once the
+        // tag's own declarations are in scope.
+        let mut attributes: Vec<Attr<'a>> = Vec::new();
+        let mut ns_decls: Vec<(&'a str, Cow<'a, str>)> = Vec::new();
         let self_closing;
         loop {
             self.skip_ws();
@@ -297,34 +364,42 @@ impl<'a> Reader<'a> {
                 .find(quote)
                 .ok_or_else(|| self.err("unterminated attribute value"))?;
             let raw_value = &self.rest()[..end];
-            let value = unescape(raw_value).map_err(|m| self.err(m))?.into_owned();
+            let value = unescape(raw_value).map_err(|m| self.err(m))?;
             self.pos += end + 1;
             if attr_name == "xmlns" {
-                ns_decls.push((String::new(), value));
+                ns_decls.push(("", value));
             } else if let Some(prefix) = attr_name.strip_prefix("xmlns:") {
                 if prefix.is_empty() {
                     return Err(self.err("empty namespace prefix declaration"));
                 }
-                ns_decls.push((prefix.to_owned(), value));
+                ns_decls.push((prefix, value));
             } else {
-                if attributes_raw.iter().any(|(n, _)| *n == attr_name) {
+                let (prefix, local) = attr_name.split_once(':').unwrap_or(("", attr_name));
+                if attributes
+                    .iter()
+                    .any(|a| a.name.prefix == prefix && a.name.local == local)
+                {
                     return Err(self.err(format!("duplicate attribute '{attr_name}'")));
                 }
-                attributes_raw.push((attr_name, value));
+                attributes.push(Attr {
+                    name: Name {
+                        prefix,
+                        local,
+                        ns: Cow::Borrowed(""),
+                    },
+                    value,
+                });
             }
         }
         // Resolve namespaces with the new declarations in scope.
-        self.scope.push(&ns_decls);
+        self.marks.push(self.bindings.len());
+        self.bindings.extend(ns_decls.iter().cloned());
         let name = self.resolve_name(raw_name, true)?;
-        let mut attributes = Vec::with_capacity(attributes_raw.len());
-        for (n, v) in attributes_raw {
+        for a in &mut attributes {
             // Unprefixed attributes are in no namespace, per the spec.
-            let qn = if n.contains(':') {
-                self.resolve_name(n, false)?
-            } else {
-                QName::local(n)
-            };
-            attributes.push(Attribute { name: qn, value: v });
+            if !a.name.prefix.is_empty() {
+                a.name = self.resolve_split(a.name.prefix, a.name.local)?;
+            }
         }
         self.seen_root = true;
         if self_closing {
@@ -340,31 +415,42 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn resolve_name(&self, raw: &str, use_default: bool) -> Result<QName, XmlError> {
+    /// The URI bound to `prefix` (empty = default namespace).
+    fn lookup(&self, prefix: &str) -> Option<&Cow<'a, str>> {
+        self.bindings
+            .iter()
+            .rev()
+            .find(|(p, _)| *p == prefix)
+            .map(|(_, uri)| uri)
+    }
+
+    fn resolve_name(&self, raw: &'a str, use_default: bool) -> Result<Name<'a>, XmlError> {
         match raw.split_once(':') {
-            Some((prefix, local)) => {
-                if local.is_empty() || local.contains(':') {
-                    return Err(self.err(format!("malformed qualified name '{raw}'")));
-                }
-                let ns = self
-                    .scope
-                    .resolve(prefix)
-                    .ok_or_else(|| self.err(format!("undeclared namespace prefix '{prefix}'")))?;
-                Ok(QName::prefixed(prefix, local, ns))
-            }
+            Some((prefix, local)) => self.resolve_split(prefix, local),
             None => {
-                let ns = if use_default {
-                    self.scope.resolve("").unwrap_or("")
-                } else {
-                    ""
+                let ns = match self.lookup("") {
+                    Some(uri) if use_default => uri.clone(),
+                    _ => Cow::Borrowed(""),
                 };
-                Ok(QName {
-                    prefix: String::new(),
-                    local: raw.to_owned(),
-                    ns: ns.to_owned(),
+                Ok(Name {
+                    prefix: "",
+                    local: raw,
+                    ns,
                 })
             }
         }
+    }
+
+    /// Resolves a name written `prefix:local`.
+    fn resolve_split(&self, prefix: &'a str, local: &'a str) -> Result<Name<'a>, XmlError> {
+        if local.is_empty() || local.contains(':') {
+            return Err(self.err(format!("malformed qualified name '{prefix}:{local}'")));
+        }
+        let ns = self
+            .lookup(prefix)
+            .ok_or_else(|| self.err(format!("undeclared namespace prefix '{prefix}'")))?
+            .clone();
+        Ok(Name { prefix, local, ns })
     }
 
     fn parse_end_tag(&mut self) -> Result<Event<'a>, XmlError> {
@@ -380,7 +466,7 @@ impl<'a> Reader<'a> {
             .pop()
             .ok_or_else(|| self.err(format!("unexpected end tag </{raw_name}>")))?;
         // Compare against the written form without allocating it.
-        let matches = match open.prefix.as_str() {
+        let matches = match open.prefix {
             "" => raw_name == open.local,
             p => raw_name
                 .strip_prefix(p)
@@ -389,11 +475,10 @@ impl<'a> Reader<'a> {
         };
         if !matches {
             return Err(self.err(format!(
-                "mismatched end tag: expected </{}>, found </{raw_name}>",
-                open.as_written()
+                "mismatched end tag: expected </{open}>, found </{raw_name}>"
             )));
         }
-        self.scope.pop();
+        self.pop_scope();
         if self.stack.is_empty() {
             self.finished_root = true;
         }
@@ -428,9 +513,18 @@ pub fn parse_document(input: &str) -> Result<Document, XmlError> {
                 ..
             } => {
                 stack.push(Element {
-                    name,
-                    attributes,
-                    ns_decls,
+                    name: name.to_qname(),
+                    attributes: attributes
+                        .into_iter()
+                        .map(|a| Attribute {
+                            name: a.name.to_qname(),
+                            value: a.value.into_owned(),
+                        })
+                        .collect(),
+                    ns_decls: ns_decls
+                        .into_iter()
+                        .map(|(p, uri)| (p.to_owned(), uri.into_owned()))
+                        .collect(),
                     children: Vec::new(),
                 });
             }
@@ -548,6 +642,50 @@ mod tests {
         assert_eq!(b.name.ns, "urn:two");
         assert_eq!(b.first_child("c").unwrap().name.ns, "urn:two");
         assert_eq!(doc.root.first_child("d").unwrap().name.ns, "urn:one");
+    }
+
+    #[test]
+    fn events_borrow_names_values_and_uris() {
+        let text = r#"<a xmlns="urn:one"><p:b xmlns:p="urn:p" p:x="1" y="&lt;"/></a>"#;
+        let mut r = Reader::new(text);
+        let Event::StartElement { name, .. } = r.next_event().unwrap() else {
+            panic!("expected <a>");
+        };
+        assert_eq!((name.prefix, name.local), ("", "a"));
+        assert!(matches!(name.ns, Cow::Borrowed("urn:one")));
+        let Event::StartElement {
+            name,
+            attributes,
+            ns_decls,
+            self_closing,
+        } = r.next_event().unwrap()
+        else {
+            panic!("expected <p:b>");
+        };
+        assert!(self_closing);
+        assert_eq!(name.to_string(), "p:b");
+        assert!(matches!(name.ns, Cow::Borrowed("urn:p")));
+        assert_eq!(ns_decls, vec![("p", Cow::Borrowed("urn:p"))]);
+        assert!(attributes[0].name.matches("urn:p", "x"));
+        assert!(matches!(attributes[0].value, Cow::Borrowed("1")));
+        // Unprefixed attributes are in no namespace; escaped values own.
+        assert!(attributes[1].name.matches("", "y"));
+        assert!(matches!(&attributes[1].value, Cow::Owned(v) if v == "<"));
+        let Event::EndElement { name } = r.next_event().unwrap() else {
+            panic!("expected </p:b>");
+        };
+        assert_eq!(name.to_qname(), QName::prefixed("p", "b", "urn:p"));
+    }
+
+    #[test]
+    fn declarations_leave_scope_with_their_element() {
+        // Popped after a self-closing tag as after an end tag.
+        let e = parse_document("<a><b xmlns:p=\"urn:p\"/><p:c/></a>").unwrap_err();
+        assert!(e.message.contains("undeclared namespace prefix 'p'"), "{e}");
+        let e = parse_document("<a><b xmlns:p=\"urn:p\"></b><p:c/></a>").unwrap_err();
+        assert!(e.message.contains("undeclared namespace prefix 'p'"), "{e}");
+        let doc = parse_document("<x:a xmlns:x=\"urn:x\" xml:lang=\"en\"/>").unwrap();
+        assert_eq!(doc.root.attributes[0].name.ns, XML_NS);
     }
 
     #[test]

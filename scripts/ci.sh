@@ -361,7 +361,9 @@ echo "== tier-1: streaming-enforcement gate (parity + bounded memory, DESIGN.md 
 # received and stored. The suites include the tree-native sender's
 # parity with the text pipeline it replaced (DESIGN.md §13.5): the
 # sender_* tests in stream_parity, required here by name, and the
-# tree/envelope writer suite.
+# tree/envelope writer suite. They also include one-pass decoding
+# (DESIGN.md §2.2), required by name: its differential suite against the
+# DOM route, its no-panic properties, and its allocation budget.
 stream_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline --test stream_parity
 stream_tests="$(cargo test -q --offline --test stream_parity -- --list)"
@@ -370,6 +372,21 @@ for t in sender_parity sender_parity_pinned_layouts \
     grep -qx "$t: test" <<<"$stream_tests" || { echo "stream_parity lost $t"; exit 1; }
 done
 timeout --kill-after=10 60 cargo test -q --offline --test tree_writer
+timeout --kill-after=10 60 cargo test -q --offline --test one_pass_decode
+timeout --kill-after=10 60 cargo test -q --offline --test robustness one_pass_decoders
+timeout --kill-after=10 60 cargo test -q --offline --test alloc_budget
+for spec in \
+    one_pass_decode:itree_parse_matches_dom_oracle \
+    one_pass_decode:soap_decode_matches_element_oracle \
+    one_pass_decode:pinned_error_orders_match \
+    robustness:one_pass_decoders_never_panic_on_garbage \
+    robustness:one_pass_decoders_never_panic_on_envelope_mutations \
+    alloc_budget:one_pass_decoding_stays_within_allocation_budget; do
+    suite="${spec%%:*}"
+    t="${spec#*:}"
+    cargo test -q --offline --test "$suite" -- --list | grep -qx "$t: test" \
+        || { echo "$suite lost $t"; exit 1; }
+done
 timeout --kill-after=10 60 cargo test -q --offline -p axml-core stream::
 stream_elapsed=$(( $(date +%s) - stream_started ))
 if [ "$stream_elapsed" -ge 60 ]; then

@@ -71,8 +71,7 @@ fn load_schema(path: &str) -> Result<Schema, String> {
 
 fn load_doc(path: &str) -> Result<ITree, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let parsed = axml::xml::parse_document(&text).map_err(|e| format!("{path}: {e}"))?;
-    ITree::from_xml(&parsed.root).map_err(|e| format!("{path}: {e}"))
+    ITree::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Parses `--k N`, defaulting to 2; a malformed value is an error rather
@@ -507,10 +506,7 @@ fn cmd_invoke(args: &[String]) -> ExitCode {
             continue;
         }
         if a.trim_start().starts_with('<') {
-            let tree = axml::xml::parse_document(a)
-                .map_err(|e| e.to_string())
-                .and_then(|d| ITree::from_xml(&d.root).map_err(|e| e.to_string()));
-            match tree {
+            match ITree::parse(a) {
                 Ok(t) => params.push(t),
                 Err(e) => return fail(&format!("parameter {}: {e}", i - 2)),
             }

@@ -1,7 +1,9 @@
 //! Robustness: malformed inputs never panic, concurrent use is safe.
 
-use axml::schema::{validate_xml_stream, Compiled, NoOracle, Schema};
+use axml::peer::RECEIVE_METHOD;
+use axml::schema::{validate_xml_stream, Compiled, ITree, NoOracle, Schema};
 use axml::services::builtin::{Adversarial, GetTemp};
+use axml::services::soap;
 use axml::services::{Registry, ServiceDef};
 use axml::xml::parse_document;
 use axml_support::prelude::*;
@@ -27,6 +29,33 @@ proptest! {
         }
         if let Ok(text) = String::from_utf8(bytes) {
             let _ = parse_document(&text);
+        }
+    }
+
+    /// The one-pass decoders return errors, never panic, on arbitrary
+    /// input.
+    #[test]
+    fn one_pass_decoders_never_panic_on_garbage(input in ".{0,200}") {
+        let _ = ITree::parse(&input);
+        let _ = soap::decode(&input);
+    }
+
+    /// Byte mutations of a real receive envelope never panic the
+    /// one-pass decoders (the daemon's decode of every request).
+    #[test]
+    fn one_pass_decoders_never_panic_on_envelope_mutations(
+        edits in prop::collection::vec((0usize..4096, 0u8..128), 1..4),
+    ) {
+        let doc = axml::schema::newspaper_example();
+        let params = [ITree::text("doc0"), doc];
+        let mut bytes = soap::request(RECEIVE_METHOD, &params).to_xml().into_bytes();
+        for (pos, byte) in edits {
+            let at = pos % bytes.len();
+            bytes[at] = byte;
+        }
+        if let Ok(text) = String::from_utf8(bytes) {
+            let _ = ITree::parse(&text);
+            let _ = soap::decode(&text);
         }
     }
 
